@@ -117,7 +117,7 @@ func benchScheduleAllLazy(b *testing.B, workers int) {
 		ExtraSlotsPerJob: 2,
 		Cost:             power.Affine{Alpha: 4, Rate: 1},
 	})
-	opts := sched.Options{Lazy: true, Workers: workers}
+	opts := sched.Options{Workers: workers}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

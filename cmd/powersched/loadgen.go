@@ -8,7 +8,10 @@ package main
 // way a rolling-horizon client would. The pacing is open-loop: requests
 // launch on schedule regardless of in-flight latency (bounded by
 // -concurrency), so a saturated server shows up as latency, not as a
-// silently lowered offered rate.
+// silently lowered offered rate. Each request's latency runs from its due
+// time start + i·interval, not from when it was sent: time spent waiting
+// for an in-flight slot counts, so queueing stalls reach the percentiles
+// instead of being coordinated away.
 
 import (
 	"bytes"
@@ -137,16 +140,16 @@ func loadgenMain(args []string, out io.Writer) error {
 	interval := time.Duration(float64(time.Second) / *qps)
 	start := time.Now()
 	for i := 0; i < *requests; i++ {
-		if next := start.Add(time.Duration(i) * interval); time.Until(next) > 0 {
-			time.Sleep(time.Until(next))
+		due := start.Add(time.Duration(i) * interval)
+		if wait := time.Until(due); wait > 0 {
+			time.Sleep(wait)
 		}
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(body []byte) {
+		go func(body []byte, due time.Time) {
 			defer func() { <-sem; wg.Done() }()
-			t0 := time.Now()
 			resp, err := client.Post(*target+"/v1/schedule", "application/json", bytes.NewReader(body))
-			lat := time.Since(t0)
+			lat := time.Since(due)
 			mu.Lock()
 			defer mu.Unlock()
 			latencies = append(latencies, lat)
@@ -163,7 +166,7 @@ func loadgenMain(args []string, out io.Writer) error {
 			} else {
 				errCount++
 			}
-		}(bodies[i%len(bodies)])
+		}(bodies[i%len(bodies)], due)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)

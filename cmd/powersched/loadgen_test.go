@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -83,6 +84,40 @@ func TestLoadgenMainReplaysTrace(t *testing.T) {
 	}
 	if rep.AchievedQPS <= 0 {
 		t.Fatalf("achieved qps %v", rep.AchievedQPS)
+	}
+}
+
+// TestLoadgenCountsQueueingDelay pins the latency clock to each
+// request's due time: with one in-flight slot and a handler that blocks,
+// the second request waits for the first to finish, and that wait must
+// show up in its reported latency.
+func TestLoadgenCountsQueueingDelay(t *testing.T) {
+	const block = 60 * time.Millisecond
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(block)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+
+	var buf bytes.Buffer
+	err := loadgenMain([]string{
+		"-target", srv.URL, "-qps", "1000", "-requests", "2", "-concurrency", "1",
+		"-jobs", "8", "-horizon", "24",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep loadgenReport
+	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		t.Fatalf("loadgen output not valid JSON: %v\n%s", err, buf.String())
+	}
+	if rep.OK != 2 {
+		t.Fatalf("report counts off: %+v", rep)
+	}
+	// The second request is due 1 ms in, waits ~60 ms for the slot, then
+	// takes ~60 ms itself.
+	if want := float64(2*block-10*time.Millisecond) / float64(time.Millisecond); rep.MaxMs < want {
+		t.Fatalf("slowest latency %.1f ms, want ≥ %.0f ms: the wait for a slot was not counted", rep.MaxMs, want)
 	}
 }
 

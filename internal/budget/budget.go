@@ -17,21 +17,28 @@
 // sound because capped marginals of a monotone submodular function can only
 // shrink as the solution grows. Both variants pick identical subsets (ties
 // broken by index); they differ only in oracle-call counts, which ablation
-// A1 measures.
+// A1 measures. On float-valued utilities a probe can round an ulp higher
+// than in an earlier round, against submodularity, and at an exact ratio
+// tie the lazy heap may then take a different, equally good subset.
 //
-// Both greedies scale across CPUs without giving up the incremental-oracle
-// fast path: Options.Workers shards the candidate scan over goroutines
-// that each own an oracle replica. Replicas stay bit-identical to the
-// primary after every pick, so a probe answers the same on any of them —
-// pick sequences are therefore invariant in the worker count, which the
-// differential tests in parallel_test.go assert oracle by oracle. How a
-// replica keeps up depends on the oracle: when it implements
-// submodular.DeltaOracle the primary commits each pick once (CommitDelta)
-// and ships the resulting per-round delta to every replica (ApplyDelta) —
-// for copy-on-write replicas (submodular.ReplicaProvider) even that
-// degenerates to an epoch check on shared state — otherwise each replica
-// is a deep Clone replaying the pick's Commit itself (the PR 3 scheme,
-// still available via Options.NoDeltaReplay as the ablation baseline).
+// LazyGreedy (and its resumable form Stepwise) is the engine every
+// production solve runs; Greedy is the short serial eager loop kept as the
+// reference the conformance suite and experiments compare against.
+//
+// The lazy engine scales across CPUs without giving up the
+// incremental-oracle fast path: Options.Workers revalidates stale heap
+// entries in concurrent batches over goroutines that each own an oracle
+// replica. Replicas stay bit-identical to the primary after every pick,
+// so a probe answers the same on any of them — pick sequences are
+// therefore invariant in the worker count, which the differential tests
+// in parallel_test.go assert oracle by oracle. How a replica keeps up
+// depends on the oracle: when it implements submodular.DeltaOracle the
+// primary commits each pick once (CommitDelta) and ships the resulting
+// per-round delta to every replica (ApplyDelta) — for copy-on-write
+// replicas (submodular.ReplicaProvider) even that degenerates to an epoch
+// check on shared state — otherwise each replica is a deep Clone
+// replaying the pick's Commit itself (still available via
+// Options.NoDeltaReplay as the ablation baseline).
 package budget
 
 import (
@@ -84,17 +91,11 @@ type Options struct {
 	// Eps is the bicriteria slack ε: stop at utility (1−ε)·Threshold.
 	// Must be in (0, 1].
 	Eps float64
-	// Workers is the number of concurrent probe goroutines: Greedy shards
-	// each round's candidate scan across them, LazyGreedy additionally
-	// revalidates stale heap entries in concurrent batches. Each worker
-	// owns a cloned incremental-oracle replica, so the fast path and
-	// multicore compose. 0 and 1 both mean serial. Picked subsets are
-	// identical for every worker count.
+	// Workers is the number of concurrent probe goroutines of the lazy
+	// engine (LazyGreedy, Stepwise), each owning a cloned
+	// incremental-oracle replica; 0 and 1 both mean serial. Picked subsets
+	// are identical for every worker count. Greedy ignores it.
 	Workers int
-	// Parallel is deprecated: when set and Workers is 0 it acts as
-	// Workers = runtime.GOMAXPROCS(0). Unlike its historical behavior it
-	// no longer forces from-scratch Eval oracles — use PlainEval for that.
-	Parallel bool
 	// PlainEval disables the incremental-oracle fast path even when F
 	// provides one (submodular.AsIncremental), recomputing every probe
 	// from scratch — the ablation A1/A3 baseline.
@@ -106,19 +107,6 @@ type Options struct {
 	// scheme, kept as the conformance/ablation baseline. Pick sequences
 	// are identical either way.
 	NoDeltaReplay bool
-}
-
-// workerCount resolves the effective worker count.
-func (o Options) workerCount() int {
-	w := o.Workers
-	if w <= 0 {
-		if o.Parallel {
-			w = runtime.GOMAXPROCS(0)
-		} else {
-			w = 1
-		}
-	}
-	return w
 }
 
 // Step records one greedy pick, forming the trace used by the phase
@@ -169,21 +157,13 @@ var ErrInfeasible = errors.New("budget: threshold unreachable with given subsets
 
 const tol = 1e-12
 
-// scanCand is one worker's reduction slot: its shard's best candidate.
-type scanCand struct {
-	idx   int
-	gain  float64
-	ratio float64
-}
-
 // workspace is the per-run state shared by Greedy and LazyGreedy (the
 // secretary package's OfflineGreedyCardinalityWorkers mirrors the same
-// replica/replay/reduction scheme for singleton probes — keep them in
-// sync): the
+// replica/replay scheme for singleton probes — keep them in sync): the
 // resolved worker count, the per-worker oracle replicas (or plain-Eval
-// probe buffers), the candidates' materialized item lists, and the
-// reduction slots. Everything is allocated once per run — the probe loops
-// and parallel phases allocate nothing per round.
+// probe buffers), and the candidates' materialized item lists.
+// Everything is allocated once per run — the probe loops and parallel
+// phases allocate nothing per round.
 type workspace struct {
 	f       submodular.Function
 	workers int
@@ -223,8 +203,6 @@ type workspace struct {
 	// paths and exits flush it explicitly.
 	pending []int
 
-	best []scanCand // per-worker reduction slots
-
 	// Lazy revalidation result buffers, one slot per batch entry.
 	batchGain  []float64
 	batchRatio []float64
@@ -242,7 +220,7 @@ type workspace struct {
 // newWorkspace resolves options against the problem and allocates all
 // per-run scratch. f must be the counting wrapper the run bills probes to.
 func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
-	workers := opts.workerCount()
+	workers := opts.Workers
 	if workers > len(p.Subsets) {
 		workers = len(p.Subsets)
 	}
@@ -254,7 +232,6 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 		workers: workers,
 		x:       p.Threshold,
 		cur:     bitset.New(p.F.Universe()),
-		best:    make([]scanCand, workers),
 	}
 	if !opts.PlainEval {
 		if inc, ok := submodular.AsIncremental(f); ok {
@@ -445,65 +422,15 @@ func (ws *workspace) runWorkers(fn func(w int)) {
 	wg.Wait()
 }
 
-// scanBest finds the best unpicked candidate: max ratio, ties to the
-// lowest index. With multiple workers the candidate range is sharded into
-// contiguous chunks; each worker first replays the pending commit on its
-// replica, then scans its chunk. The in-order reduction with a strict >
-// keeps the lowest-index tie-break identical to the serial scan.
-func (ws *workspace) scanBest(subsets []Subset, picked []bool, curU float64) (int, float64, float64) {
-	n := len(subsets)
-	if ws.workers == 1 {
-		ws.flushPending()
-		local := scanCand{idx: -1, ratio: math.Inf(-1)}
-		base := ws.base(0)
-		for i := 0; i < n; i++ {
-			if picked[i] {
-				continue
-			}
-			if gain, ratio, ok := ws.probe(0, i, base, curU, subsets); ok && ratio > local.ratio {
-				local = scanCand{idx: i, gain: gain, ratio: ratio}
-			}
-		}
-		return local.idx, local.gain, local.ratio
-	}
-	pending, pendingDelta := ws.pending, ws.pendingDelta
-	chunk := (n + ws.workers - 1) / ws.workers
-	ws.runWorkers(func(w int) {
-		ws.syncReplica(w, pending, pendingDelta)
-		local := scanCand{idx: -1, ratio: math.Inf(-1)}
-		base := ws.base(w)
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			if picked[i] {
-				continue
-			}
-			if gain, ratio, ok := ws.probe(w, i, base, curU, subsets); ok && ratio > local.ratio {
-				local = scanCand{idx: i, gain: gain, ratio: ratio}
-			}
-		}
-		ws.best[w] = local
-	})
-	ws.pending, ws.pendingDelta = nil, nil
-	best := scanCand{idx: -1, ratio: math.Inf(-1)}
-	for _, c := range ws.best {
-		if c.idx != -1 && c.ratio > best.ratio {
-			best = c
-		}
-	}
-	return best.idx, best.gain, best.ratio
-}
-
-// Greedy runs the algorithm of Lemma 2.1.2. On success the result has
-// capped utility at least (1−ε)·Threshold.
+// Greedy runs the algorithm of Lemma 2.1.2 as the plain eager loop: every
+// round probes every unpicked subset and takes the best ratio. On success
+// the result has capped utility at least (1−ε)·Threshold. It is the
+// serial reference the lazy engine is checked against, not a production
+// path: it runs on one goroutine and ignores Workers and NoDeltaReplay.
 //
 // When F provides an incremental oracle (submodular.AsIncremental) and
 // PlainEval is not set, every probe F(S ∪ Sᵢ) is answered by a stateful
-// oracle's Gain instead of a from-scratch Eval — with Workers > 1, by one
-// of the per-worker replicas, all holding identical committed state, so
-// pick sequences do not depend on the worker count. For integer-valued
+// oracle's Gain instead of a from-scratch Eval. For integer-valued
 // oracles (coverage with unit weights, the matching utilities) the pick
 // sequence is also bit-identical to the plain path; for float-valued
 // oracles the incremental and plain paths sum the same terms in different
@@ -517,14 +444,24 @@ func Greedy(p Problem, opts Options) (*Result, error) {
 	x := p.Threshold
 	target := (1 - opts.Eps) * x
 
-	ws := newWorkspace(f, p, opts)
+	ws := newWorkspace(f, p, Options{PlainEval: opts.PlainEval})
 	cur := ws.cur
 	curU := math.Min(x, ws.utility())
 	res := &Result{Union: cur}
 	picked := make([]bool, len(p.Subsets))
 
 	for curU < target-tol {
-		best, bestGain, bestRatio := ws.scanBest(p.Subsets, picked, curU)
+		ws.flushPending()
+		base := ws.base(0)
+		best, bestGain, bestRatio := -1, 0.0, math.Inf(-1)
+		for i := range p.Subsets {
+			if picked[i] {
+				continue
+			}
+			if gain, ratio, ok := ws.probe(0, i, base, curU, p.Subsets); ok && ratio > bestRatio {
+				best, bestGain, bestRatio = i, gain, ratio
+			}
+		}
 		if best == -1 {
 			res.Utility = ws.utility()
 			res.Evals = f.Calls()
@@ -742,7 +679,7 @@ func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset
 // Workers−1 entries that serial evaluation would have skipped, so Evals
 // can exceed the serial count slightly.
 func LazyGreedy(p Problem, opts Options) (*Result, error) {
-	s, err := NewStepwise(p, opts, nil)
+	s, err := newStepwise(p, opts, nil, false)
 	if err != nil {
 		return nil, err
 	}

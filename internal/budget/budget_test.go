@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -176,6 +178,8 @@ func TestLazyMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial pins the lazy engine at one worker per CPU to
+// the serial eager reference.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
@@ -195,17 +199,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 		p := setCoverProblem(m, sets, costs)
 		p.Threshold = 20
 		serial, errS := Greedy(p, Options{Eps: 0.1})
-		par, errP := Greedy(p, Options{Eps: 0.1, Parallel: true})
+		par, errP := LazyGreedy(p, Options{Eps: 0.1, Workers: runtime.GOMAXPROCS(0)})
 		if (errS == nil) != (errP == nil) {
 			t.Fatalf("feasibility disagreement")
 		}
 		if errS != nil {
 			continue
 		}
-		for i := range serial.Chosen {
-			if serial.Chosen[i] != par.Chosen[i] {
-				t.Fatalf("parallel pick sequence differs: %v vs %v", serial.Chosen, par.Chosen)
-			}
+		if !slices.Equal(serial.Chosen, par.Chosen) {
+			t.Fatalf("parallel pick sequence differs: %v vs %v", serial.Chosen, par.Chosen)
 		}
 	}
 }

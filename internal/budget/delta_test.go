@@ -7,37 +7,31 @@ import (
 )
 
 // TestDeltaReplayDeterminism is the delta-mode contract: for every
-// incremental oracle, Greedy and LazyGreedy with delta replay (the
-// default at Workers > 1) pick exactly what the plain serial run and the
-// NoDeltaReplay clone-and-replay runs pick, at every worker count.
+// incremental oracle, LazyGreedy with delta replay (the default at
+// Workers > 1) and with NoDeltaReplay clone-and-replay picks exactly what
+// the serial Greedy reference picks, at every worker count.
 func TestDeltaReplayDeterminism(t *testing.T) {
-	algos := map[string]func(Problem, Options) (*Result, error){
-		"greedy": Greedy,
-		"lazy":   LazyGreedy,
-	}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*104729 + 17))
 		for oracle, p := range oracleProblems(rng) {
-			for algoName, algo := range algos {
-				ref, refErr := algo(p, Options{Eps: 0.05})
-				for _, workers := range []int{2, 4, 8} {
-					for _, noDelta := range []bool{false, true} {
-						got, gotErr := algo(p, Options{Eps: 0.05, Workers: workers, NoDeltaReplay: noDelta})
-						if (refErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s/%s workers=%d noDelta=%t: feasibility disagreement: %v vs %v",
-								oracle, algoName, workers, noDelta, refErr, gotErr)
-						}
-						if refErr != nil {
-							continue
-						}
-						if !slices.Equal(ref.Chosen, got.Chosen) {
-							t.Fatalf("%s/%s workers=%d noDelta=%t: picks diverged:\nserial %v\ndelta  %v",
-								oracle, algoName, workers, noDelta, ref.Chosen, got.Chosen)
-						}
-						if ref.Cost != got.Cost || ref.Utility != got.Utility {
-							t.Fatalf("%s/%s workers=%d noDelta=%t: cost/utility diverged: (%v,%v) vs (%v,%v)",
-								oracle, algoName, workers, noDelta, ref.Cost, ref.Utility, got.Cost, got.Utility)
-						}
+			ref, refErr := Greedy(p, Options{Eps: 0.05})
+			for _, workers := range []int{2, 4, 8} {
+				for _, noDelta := range []bool{false, true} {
+					got, gotErr := LazyGreedy(p, Options{Eps: 0.05, Workers: workers, NoDeltaReplay: noDelta})
+					if (refErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s workers=%d noDelta=%t: feasibility disagreement: %v vs %v",
+							oracle, workers, noDelta, refErr, gotErr)
+					}
+					if refErr != nil {
+						continue
+					}
+					if !slices.Equal(ref.Chosen, got.Chosen) {
+						t.Fatalf("%s workers=%d noDelta=%t: picks diverged:\nserial %v\ndelta  %v",
+							oracle, workers, noDelta, ref.Chosen, got.Chosen)
+					}
+					if ref.Cost != got.Cost || ref.Utility != got.Utility {
+						t.Fatalf("%s workers=%d noDelta=%t: cost/utility diverged: (%v,%v) vs (%v,%v)",
+							oracle, workers, noDelta, ref.Cost, ref.Utility, got.Cost, got.Utility)
 					}
 				}
 			}

@@ -69,40 +69,33 @@ func oracleProblems(rng *rand.Rand) map[string]Problem {
 	return problems
 }
 
-// TestWorkerCountDeterminism is the tentpole's contract: for every
-// incremental oracle, for Greedy and LazyGreedy, plain-Eval and
-// incremental, the pick sequence at 2/4/8 workers is identical to the
-// serial run's. Under -race (the CI race job runs this package) it also
-// exercises the sharded-replica scan and the batched lazy revalidation
-// for data races.
+// TestWorkerCountDeterminism is the lazy engine's parallelism contract:
+// for every incremental oracle, plain-Eval and incremental, the pick
+// sequence at 1/2/4/8 workers is identical to the serial eager reference's.
+// Under -race (the CI race job runs this package) it also exercises the
+// sharded initial sweep and the batched lazy revalidation for data races.
 func TestWorkerCountDeterminism(t *testing.T) {
-	algos := map[string]func(Problem, Options) (*Result, error){
-		"greedy": Greedy,
-		"lazy":   LazyGreedy,
-	}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*7919 + 3))
 		for oracle, p := range oracleProblems(rng) {
-			for algoName, algo := range algos {
-				for _, plain := range []bool{false, true} {
-					ref, refErr := algo(p, Options{Eps: 0.05, PlainEval: plain})
-					for _, workers := range []int{2, 4, 8} {
-						got, gotErr := algo(p, Options{Eps: 0.05, PlainEval: plain, Workers: workers})
-						if (refErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s/%s plain=%t workers=%d: feasibility disagreement: %v vs %v",
-								oracle, algoName, plain, workers, refErr, gotErr)
-						}
-						if refErr != nil {
-							continue
-						}
-						if !slices.Equal(ref.Chosen, got.Chosen) {
-							t.Fatalf("%s/%s plain=%t workers=%d: picks diverged:\nserial %v\nworkers %v",
-								oracle, algoName, plain, workers, ref.Chosen, got.Chosen)
-						}
-						if ref.Cost != got.Cost || ref.Utility != got.Utility {
-							t.Fatalf("%s/%s plain=%t workers=%d: cost/utility diverged: (%v,%v) vs (%v,%v)",
-								oracle, algoName, plain, workers, ref.Cost, ref.Utility, got.Cost, got.Utility)
-						}
+			for _, plain := range []bool{false, true} {
+				ref, refErr := Greedy(p, Options{Eps: 0.05, PlainEval: plain})
+				for _, workers := range []int{1, 2, 4, 8} {
+					got, gotErr := LazyGreedy(p, Options{Eps: 0.05, PlainEval: plain, Workers: workers})
+					if (refErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s plain=%t workers=%d: feasibility disagreement: %v vs %v",
+							oracle, plain, workers, refErr, gotErr)
+					}
+					if refErr != nil {
+						continue
+					}
+					if !slices.Equal(ref.Chosen, got.Chosen) {
+						t.Fatalf("%s plain=%t workers=%d: picks diverged:\nserial %v\nworkers %v",
+							oracle, plain, workers, ref.Chosen, got.Chosen)
+					}
+					if ref.Cost != got.Cost || ref.Utility != got.Utility {
+						t.Fatalf("%s plain=%t workers=%d: cost/utility diverged: (%v,%v) vs (%v,%v)",
+							oracle, plain, workers, ref.Cost, ref.Utility, got.Cost, got.Utility)
 					}
 				}
 			}
@@ -110,15 +103,15 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkersGreedyMatchesLazy pins Greedy and LazyGreedy to each other at
-// every worker count — the Lemma 2.1.2 identical-picks guarantee must
-// survive the batched revalidation.
+// TestWorkersGreedyMatchesLazy pins LazyGreedy at every worker count to
+// the serial Greedy reference — the Lemma 2.1.2 identical-picks guarantee
+// must survive the batched revalidation.
 func TestWorkersGreedyMatchesLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 4; trial++ {
 		for oracle, p := range oracleProblems(rng) {
 			for _, workers := range []int{1, 4} {
-				g, errG := Greedy(p, Options{Eps: 0.1, Workers: workers})
+				g, errG := Greedy(p, Options{Eps: 0.1})
 				l, errL := LazyGreedy(p, Options{Eps: 0.1, Workers: workers})
 				if (errG == nil) != (errL == nil) {
 					t.Fatalf("%s workers=%d: feasibility disagreement: %v vs %v", oracle, workers, errG, errL)
@@ -207,7 +200,7 @@ func TestLazyHeapOrdersLikeSort(t *testing.T) {
 }
 
 // BenchmarkLazyGreedyCoverWorkers4 is BenchmarkLazyGreedyCover with four
-// probe workers — the replica-sharded scan over the same instance.
+// probe workers — batched revalidation over the same instance.
 func BenchmarkLazyGreedyCoverWorkers4(b *testing.B) {
 	benchLazyGreedyCover(b, 4)
 }

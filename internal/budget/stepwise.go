@@ -56,6 +56,12 @@ type Stepwise struct {
 // surface at the top; subsets not covered by any hint are probed fresh.
 // Hints must be unique and in range.
 func NewStepwise(p Problem, opts Options, hints []Hint) (*Stepwise, error) {
+	return newStepwise(p, opts, hints, true)
+}
+
+// newStepwise is NewStepwise; record keeps the initial-state gains that
+// ZeroGains reports, which only warm-starting callers read.
+func newStepwise(p Problem, opts Options, hints []Hint, record bool) (*Stepwise, error) {
 	if err := validate(p, opts); err != nil {
 		return nil, err
 	}
@@ -73,9 +79,11 @@ func NewStepwise(p Problem, opts Options, hints []Hint) (*Stepwise, error) {
 
 	// Record initial-state gains while no pick has been made: a future
 	// warm start derives its hint bounds from them.
-	ws.zeroGain = make([]float64, len(p.Subsets))
-	ws.zeroSeen = make([]bool, len(p.Subsets))
-	ws.recordZero = true
+	if record {
+		ws.zeroGain = make([]float64, len(p.Subsets))
+		ws.zeroSeen = make([]bool, len(p.Subsets))
+		ws.recordZero = true
+	}
 
 	if hints == nil {
 		s.h = ws.initHeap(p.Subsets, s.curU)

@@ -14,11 +14,12 @@
 //     safe for concurrent readers (CheckCostModel, CheckMonotone,
 //     CheckConcurrent).
 //   - Solver contract: schedules are feasible (Schedule.Validate), the
-//     incremental oracle fast path picks exactly what the from-scratch
-//     baseline picks, the parallel greedy is invariant in Workers, and a
+//     lazy engine on either oracle picks exactly what the eager serial
+//     from-scratch reference picks in every mode, the parallel greedy is
+//     invariant in Workers, and a
 //     session's warm re-solve after any mutation script is byte-identical
 //     to a cold from-scratch solve of the equivalent instance
-//     (CheckSolve, CheckSession).
+//     (CheckSolve, CheckPrize, CheckSession).
 //
 // Checkers return errors instead of taking a *testing.T so that fuzz
 // targets and non-test callers can drive them; the matrix test wraps them
@@ -153,72 +154,104 @@ func CheckConcurrent(m power.CostModel, procs, horizon int) error {
 	return <-errs
 }
 
-// CheckSolve exercises the solver contract on one instance: the
-// from-scratch plain-oracle serial greedy is the baseline, and every
-// other path — incremental oracles, the lazy greedy, Workers ∈ {2,4,8}
-// over both, and (for parallel incremental runs) per-round delta replay
-// versus clone-and-replay replicas — must produce a byte-identical
-// schedule that Schedule.Validate accepts. If the baseline fails (e.g.
-// the model's blocked slots make the instance unschedulable), every path
-// must fail the same way. The streaming tier is its own arm
-// (checkStreaming): it picks different schedules by design, so instead
-// of byte-equality with the baseline it must be feasible, complete,
-// worker-count invariant over W ∈ {1,2,4,8}, and — in budgeted form at
-// the baseline's cost — within the sieve's (1/2−ε) utility guarantee of
-// the baseline's scheduled count.
+// CheckSolve exercises the solver contract on one instance: the eager
+// serial plain-oracle greedy (sched.ScheduleAllReference) is the
+// baseline, and ScheduleAll's lazy engine — over from-scratch and
+// incremental oracles, at Workers ∈ {1,2,4,8}, and (for parallel
+// incremental runs) with per-round delta replay versus clone-and-replay
+// replicas — must produce a byte-identical schedule that
+// Schedule.Validate accepts. If the baseline fails (e.g. the model's
+// blocked slots make the instance unschedulable), every path must fail
+// the same way. The streaming tier is its own arm (checkStreaming): it
+// picks different schedules by design, so instead of byte-equality with
+// the baseline it must be feasible, complete, worker-count invariant over
+// W ∈ {1,2,4,8}, and — in budgeted form at the baseline's cost — within
+// the sieve's (1/2−ε) utility guarantee of the baseline's scheduled count.
 func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 	baseOpts := opts
 	baseOpts.PlainOracle = true
-	baseOpts.Lazy = false
-	baseOpts.Workers = 1
-	base, baseErr := sched.ScheduleAll(ins, baseOpts)
+	base, baseErr := sched.ScheduleAllReference(ins, baseOpts)
 	if baseErr == nil {
 		if err := base.Validate(ins); err != nil {
 			return fmt.Errorf("conformance: baseline schedule infeasible: %w", err)
 		}
 	}
-	for _, lazy := range []bool{false, true} {
-		for _, plain := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, noDelta := range []bool{false, true} {
-					if noDelta && (plain || workers == 1) {
-						// Delta replay only engages on parallel incremental
-						// runs; elsewhere the knob selects identical code.
-						continue
-					}
-					o := opts
-					o.Lazy = lazy
-					o.PlainOracle = plain
-					o.Workers = workers
-					o.NoDeltaReplay = noDelta
-					got, err := sched.ScheduleAll(ins, o)
-					label := fmt.Sprintf("lazy=%t plain=%t workers=%d nodelta=%t", lazy, plain, workers, noDelta)
-					if baseErr != nil {
-						if err == nil {
-							return fmt.Errorf("conformance: %s solved an instance the baseline rejects (%v)", label, baseErr)
-						}
-						if !errors.Is(err, sched.ErrUnschedulable) ||
-							!errors.Is(baseErr, sched.ErrUnschedulable) {
-							if err.Error() != baseErr.Error() {
-								return fmt.Errorf("conformance: %s error %q, baseline %q", label, err, baseErr)
-							}
-						}
-						continue
-					}
-					if err != nil {
-						return fmt.Errorf("conformance: %s: %w", label, err)
-					}
-					if err := got.SameAs(base); err != nil {
-						return fmt.Errorf("conformance: %s diverges from baseline: %w", label, err)
-					}
-					if err := got.Validate(ins); err != nil {
-						return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
-					}
+	for _, plain := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, noDelta := range []bool{false, true} {
+				if noDelta && (plain || workers == 1) {
+					// Delta replay only engages on parallel incremental
+					// runs; elsewhere the knob selects identical code.
+					continue
+				}
+				o := opts
+				o.PlainOracle = plain
+				o.Workers = workers
+				o.NoDeltaReplay = noDelta
+				got, err := sched.ScheduleAll(ins, o)
+				label := fmt.Sprintf("plain=%t workers=%d nodelta=%t", plain, workers, noDelta)
+				if err := sameOutcome(label, ins, base, baseErr, got, err); err != nil {
+					return err
 				}
 			}
 		}
 	}
 	return checkStreaming(ins, opts, base, baseErr)
+}
+
+// CheckPrize is CheckSolve for the prize modes at value target z:
+// PrizeCollecting and PrizeCollectingExact, serial and at Workers = 4,
+// must match the eager serial reference (sched.PrizeCollectingReference,
+// PrizeCollectingExactReference) on the same oracle. The weighted
+// utility is float-valued, so see the budget package doc for where that
+// comparison is exact.
+func CheckPrize(ins *sched.Instance, z float64, opts sched.Options) error {
+	type solver func(*sched.Instance, float64, sched.Options) (*sched.Schedule, error)
+	for _, mode := range []struct {
+		name     string
+		ref, run solver
+	}{
+		{"prize", sched.PrizeCollectingReference, sched.PrizeCollecting},
+		{"prize-exact", sched.PrizeCollectingExactReference, sched.PrizeCollectingExact},
+	} {
+		base, baseErr := mode.ref(ins, z, opts)
+		for _, workers := range []int{1, 4} {
+			o := opts
+			o.Workers = workers
+			got, err := mode.run(ins, z, o)
+			if err := sameOutcome(fmt.Sprintf("%s workers=%d", mode.name, workers), ins, base, baseErr, got, err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sameOutcome checks one solve path's result against the baseline's:
+// both fail alike, or both succeed with byte-identical, feasible
+// schedules.
+func sameOutcome(label string, ins *sched.Instance, base *sched.Schedule, baseErr error, got *sched.Schedule, err error) error {
+	if baseErr != nil {
+		if err == nil {
+			return fmt.Errorf("conformance: %s solved an instance the baseline rejects (%v)", label, baseErr)
+		}
+		if !errors.Is(err, sched.ErrUnschedulable) || !errors.Is(baseErr, sched.ErrUnschedulable) {
+			if err.Error() != baseErr.Error() {
+				return fmt.Errorf("conformance: %s error %q, baseline %q", label, err, baseErr)
+			}
+		}
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("conformance: %s: %w", label, err)
+	}
+	if err := got.SameAs(base); err != nil {
+		return fmt.Errorf("conformance: %s diverges from baseline: %w", label, err)
+	}
+	if err := got.Validate(ins); err != nil {
+		return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
+	}
+	return nil
 }
 
 // checkStreaming is CheckSolve's sieve-tier arm. The threshold is forced

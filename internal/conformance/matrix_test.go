@@ -109,8 +109,14 @@ func sessionScript() []Mutation {
 // TestMatrix runs every cost model — existing and new — through the full
 // conformance suite from one table. This is the acceptance gate the
 // scenario matrix hangs off: contract checks, incremental==plain picks,
-// Workers ∈ {1,2,4,8} invariance, and session warm-solve byte-identical
-// to cold across the mutation script.
+// Workers ∈ {1,2,4,8} invariance, session warm-solve byte-identical to
+// cold across the mutation script, and the prize modes equal to the eager
+// reference over 30 seeds at z = 0.6 of the total job value. The prize
+// check runs on the incremental weighted oracle every production solve
+// uses: with from-scratch oracles a float sum can round an ulp higher
+// than in an earlier round, and at an exact ratio tie that is enough for
+// the lazy heap to take a different, equally good subset than the eager
+// scan (speedscaled seed 6 does, at its second pick).
 func TestMatrix(t *testing.T) {
 	for _, row := range matrix() {
 		t.Run(row.name, func(t *testing.T) {
@@ -134,8 +140,40 @@ func TestMatrix(t *testing.T) {
 			if err := CheckSession(ins, sched.Options{}, sessionScript()); err != nil {
 				t.Fatal(err)
 			}
+			for seed := int64(0); seed < 30; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				ins := matrixInstance(rng, row.build(rng))
+				if err := CheckPrize(ins, 0.6*totalValue(ins), sched.Options{}); err != nil {
+					t.Fatalf("prize seed %d: %v", seed, err)
+				}
+			}
 		})
 	}
+}
+
+// TestPrizeColdSolveShape runs CheckPrize on the instance shape the
+// repository benchmark's cold_solve workload sends: 2 processors, horizon
+// 96, 32–64 unit-value planted jobs under affine cost, z = half the total
+// value.
+func TestPrizeColdSolveShape(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ins, _ := workload.PlantedSchedule(rng, workload.PlantedParams{
+			Procs: 2, Horizon: 96, IntervalsPerProc: 2, JobsPerInterval: 8 + int(seed)%9,
+			ExtraSlotsPerJob: 2, Cost: power.Affine{Alpha: 4, Rate: 1},
+		})
+		if err := CheckPrize(ins, totalValue(ins)/2, sched.Options{}); err != nil {
+			t.Fatalf("seed %d (%d jobs): %v", seed, len(ins.Jobs), err)
+		}
+	}
+}
+
+func totalValue(ins *sched.Instance) float64 {
+	total := 0.0
+	for _, j := range ins.Jobs {
+		total += j.Value
+	}
+	return total
 }
 
 // TestMatrixCoversEveryBundledModel pins the matrix against the power

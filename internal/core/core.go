@@ -22,10 +22,8 @@ import (
 
 // Report summarizes one instance solved by every applicable algorithm.
 type Report struct {
-	Greedy    *sched.Schedule // ScheduleAll with from-scratch oracles (PlainOracle)
-	Lazy      *sched.Schedule // lazy-evaluation variant
-	Fast      *sched.Schedule // incremental-matcher oracle (the default path)
-	Parallel  *sched.Schedule // Workers>1 sharded-replica greedy
+	Greedy    *sched.Schedule // eager serial reference greedy over from-scratch oracles
+	Parallel  *sched.Schedule // ScheduleAll's lazy engine at Workers = 4
 	Session   *sched.Schedule // session replay: jobs arrive one by one, warm re-solves
 	AlwaysOn  *sched.Schedule
 	PerJob    *sched.Schedule
@@ -41,18 +39,12 @@ type Report struct {
 func SolveAll(ins *sched.Instance, exactLimit int) (*Report, error) {
 	r := &Report{}
 	var err error
-	if r.Greedy, err = sched.ScheduleAll(ins, sched.Options{PlainOracle: true}); err != nil {
+	if r.Greedy, err = sched.ScheduleAllReference(ins, sched.Options{PlainOracle: true}); err != nil {
 		return nil, fmt.Errorf("core: greedy: %w", err)
 	}
-	if r.Lazy, err = sched.ScheduleAll(ins, sched.Options{Lazy: true}); err != nil {
-		return nil, fmt.Errorf("core: lazy: %w", err)
-	}
-	if r.Fast, err = sched.ScheduleAll(ins, sched.Options{}); err != nil {
-		return nil, fmt.Errorf("core: fast: %w", err)
-	}
-	// Workers > 1: the parallel sharded-replica greedy must land on the
-	// same schedule end to end, not only in the package tests.
-	if r.Parallel, err = sched.ScheduleAll(ins, sched.Options{Lazy: true, Workers: 4}); err != nil {
+	// Workers > 1: the parallel lazy engine must land on the reference
+	// schedule end to end, not only in the package tests.
+	if r.Parallel, err = sched.ScheduleAll(ins, sched.Options{Workers: 4}); err != nil {
 		return nil, fmt.Errorf("core: parallel: %w", err)
 	}
 	if r.Session, err = sessionReplay(ins); err != nil {
@@ -81,9 +73,10 @@ func SolveAll(ins *sched.Instance, exactLimit int) (*Report, error) {
 // sessionReplay rebuilds ins through a full mutation trace — a session
 // opened on the empty instance, every job added as if arriving online,
 // with a warm re-solve at the halfway point — and returns the final
-// solve. SolveAll cross-checks it byte-identical against the from-scratch
-// Fast schedule, exercising the session's targeted invalidation and the
-// warm-started stepwise greedy in the end-to-end self-check.
+// solve. SolveAll cross-checks it byte-identical against the reference
+// schedule of the final instance, exercising the session's targeted
+// invalidation and the warm-started stepwise greedy in the end-to-end
+// self-check.
 func sessionReplay(ins *sched.Instance) (*sched.Schedule, error) {
 	empty := &sched.Instance{Procs: ins.Procs, Horizon: ins.Horizon, Cost: ins.Cost}
 	sess, err := sched.NewSession(empty, sched.Options{})
@@ -111,8 +104,7 @@ func (r *Report) check(ins *sched.Instance) error {
 		name string
 		s    *sched.Schedule
 	}{
-		{"greedy", r.Greedy}, {"lazy", r.Lazy}, {"fast", r.Fast},
-		{"parallel", r.Parallel}, {"session", r.Session},
+		{"greedy", r.Greedy}, {"parallel", r.Parallel}, {"session", r.Session},
 		{"always-on", r.AlwaysOn}, {"per-job", r.PerJob},
 		{"merge-gaps", r.MergeGaps}, {"exact", r.Exact},
 	}
@@ -127,16 +119,14 @@ func (r *Report) check(ins *sched.Instance) error {
 			return fmt.Errorf("core: %s scheduled %d of %d", ns.name, ns.s.Scheduled, len(ins.Jobs))
 		}
 	}
-	// All greedy strategies pick identical interval sequences.
-	if math.Abs(r.Greedy.Cost-r.Lazy.Cost) > 1e-9 || math.Abs(r.Greedy.Cost-r.Fast.Cost) > 1e-9 ||
-		math.Abs(r.Greedy.Cost-r.Parallel.Cost) > 1e-9 {
-		return fmt.Errorf("core: greedy variants disagree: plain %g lazy %g fast %g parallel %g",
-			r.Greedy.Cost, r.Lazy.Cost, r.Fast.Cost, r.Parallel.Cost)
+	// The lazy engine picks the reference's interval sequence.
+	if err := r.Parallel.SameAs(r.Greedy); err != nil {
+		return fmt.Errorf("core: parallel engine diverged from reference: %w", err)
 	}
 	// The session replay — jobs revealed one at a time, warm re-solves —
 	// must end byte-identical to the from-scratch solve of the final
 	// instance: same intervals, same assignment, not merely same cost.
-	if err := r.Session.SameAs(r.Fast); err != nil {
+	if err := r.Session.SameAs(r.Greedy); err != nil {
 		return fmt.Errorf("core: session replay diverged from from-scratch solve: %w", err)
 	}
 	if r.Exact != nil {

@@ -92,10 +92,10 @@ func TestSolveAllNewArmsPopulated(t *testing.T) {
 	if r.Parallel == nil || r.Session == nil {
 		t.Fatal("parallel/session arms missing from the report")
 	}
-	if err := r.Session.SameAs(r.Fast); err != nil {
+	if err := r.Session.SameAs(r.Greedy); err != nil {
 		t.Fatalf("session replay differs: %v", err)
 	}
-	if err := r.Parallel.SameAs(r.Lazy); err != nil {
-		t.Fatalf("parallel differs from lazy: %v", err)
+	if err := r.Parallel.SameAs(r.Greedy); err != nil {
+		t.Fatalf("parallel differs from reference: %v", err)
 	}
 }

@@ -81,16 +81,12 @@ func TestE2Shape(t *testing.T) {
 	for r := range rows {
 		logn := cell(t, rows, r, 1)
 		greedy := cell(t, rows, r, 2)
-		lazy := cell(t, rows, r, 3)
-		ao := cell(t, rows, r, 4)
+		ao := cell(t, rows, r, 3)
 		if greedy <= 0 || greedy > 2*logn+2 {
 			t.Errorf("row %d: greedy ratio %v outside O(log n) shape (log=%v)", r, greedy, logn)
 		}
 		if ao < greedy {
 			t.Errorf("row %d: always-on %v beat greedy %v", r, ao, greedy)
-		}
-		if lazy <= 0 {
-			t.Errorf("row %d: lazy ratio %v", r, lazy)
 		}
 	}
 }
@@ -332,39 +328,29 @@ func TestE18Shape(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("E18 quick run has %d rows, want one per instance size", len(rows))
 	}
-	prevStep, prevStream := 0.0, 0.0
+	prevExact, prevStream := 0.0, 0.0
 	for r, row := range rows {
 		n := cell(t, rows, r, 0)
-		step := cell(t, rows, r, 1)
-		lazy := cell(t, rows, r, 2)
-		stream := cell(t, rows, r, 3)
-		ratio := cell(t, rows, r, 4)
-		costRatio := cell(t, rows, r, 5)
-		if n <= 0 || step <= 0 || lazy <= 0 || stream <= 0 {
+		exact := cell(t, rows, r, 1)
+		stream := cell(t, rows, r, 2)
+		ratio := cell(t, rows, r, 3)
+		costRatio := cell(t, rows, r, 4)
+		if n <= 0 || exact <= 0 || stream <= 0 {
 			t.Fatalf("row %v: missing measurements", row)
 		}
-		// The crossover claim: streaming beats the stepwise greedy's eval
-		// count at every tabulated size, and the lazy tier beats both.
-		if ratio >= 1 {
-			t.Fatalf("n=%g: stream/stepwise evals = %g, want < 1", n, ratio)
-		}
-		if lazy >= stream {
-			t.Fatalf("n=%g: lazy evals %g not below stream evals %g", n, lazy, stream)
+		// The exact lazy greedy spends fewer evals than the sieve at
+		// every tabulated size.
+		if ratio <= 1 {
+			t.Fatalf("n=%g: stream/exact evals = %g, want > 1", n, ratio)
 		}
 		// Streaming trades bounded memory for a bounded cost penalty, not
 		// an unbounded one.
 		if costRatio <= 0 || costRatio > 8 {
 			t.Fatalf("n=%g: stream/exact cost = %g", n, costRatio)
 		}
-		if r > 0 {
-			// Evals grow with n for both tiers, stepwise faster.
-			if step <= prevStep || stream <= prevStream {
-				t.Fatalf("evals not growing with n: step %g→%g stream %g→%g", prevStep, step, prevStream, stream)
-			}
-			if step/prevStep <= stream/prevStream {
-				t.Fatalf("stepwise growth %g not steeper than streaming growth %g", step/prevStep, stream/prevStream)
-			}
+		if r > 0 && (exact <= prevExact || stream <= prevStream) {
+			t.Fatalf("evals not growing with n: exact %g→%g stream %g→%g", prevExact, exact, prevStream, stream)
 		}
-		prevStep, prevStream = step, stream
+		prevExact, prevStream = exact, stream
 	}
 }

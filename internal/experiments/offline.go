@@ -68,7 +68,7 @@ func e2Instance(rng *rand.Rand, n int) (*sched.Instance, float64) {
 // cost, alongside the prior-work baselines.
 func E2(cfg Config) *stats.Table {
 	tbl := stats.NewTable("E2 — Theorem 2.2.1: schedule-all cost vs O(log n)·B and baselines",
-		"n", "log2(n+1)", "greedy/B", "lazy/B", "always-on/B", "per-job/B", "merge-gaps/B")
+		"n", "log2(n+1)", "greedy/B", "always-on/B", "per-job/B", "merge-gaps/B")
 	sizes := []int{8, 16, 32, 64}
 	if cfg.Quick {
 		sizes = []int{8, 16}
@@ -76,16 +76,13 @@ func E2(cfg Config) *stats.Table {
 	trials := pick(cfg, 8, 3)
 	for _, n := range sizes {
 		ratios := make(map[string][]float64)
-		for _, k := range []string{"greedy", "lazy", "ao", "pj", "mg"} {
+		for _, k := range []string{"greedy", "ao", "pj", "mg"} {
 			ratios[k] = make([]float64, trials)
 		}
 		parTrials(trials, cfg.Seed+int64(n), func(trial int, rng *rand.Rand) {
 			ins, b := e2Instance(rng, n)
 			if s, err := sched.ScheduleAll(ins, sched.Options{Workers: cfg.Workers}); err == nil {
 				ratios["greedy"][trial] = s.Cost / b
-			}
-			if s, err := sched.ScheduleAll(ins, sched.Options{Lazy: true, Workers: cfg.Workers}); err == nil {
-				ratios["lazy"][trial] = s.Cost / b
 			}
 			if s, err := schedexact.AlwaysOn(ins); err == nil {
 				ratios["ao"][trial] = s.Cost / b
@@ -98,8 +95,7 @@ func E2(cfg Config) *stats.Table {
 			}
 		})
 		tbl.AddRow(n, math.Log2(float64(n)+1),
-			stats.Mean(ratios["greedy"]), stats.Mean(ratios["lazy"]),
-			stats.Mean(ratios["ao"]), stats.Mean(ratios["pj"]), stats.Mean(ratios["mg"]))
+			stats.Mean(ratios["greedy"]), stats.Mean(ratios["ao"]), stats.Mean(ratios["pj"]), stats.Mean(ratios["mg"]))
 	}
 	tbl.Note = "Shape check: greedy/B stays O(log n) and far below always-on and per-job; B is the planted cost (≥ OPT), so ratios are conservative."
 	return tbl
@@ -196,7 +192,7 @@ func E12(cfg Config) *stats.Table {
 			}
 			gr[trial] = cost / k
 			red := setcover.ToScheduling(ins)
-			s, err := sched.ScheduleAll(red, sched.Options{Lazy: true})
+			s, err := sched.ScheduleAll(red, sched.Options{})
 			if err != nil {
 				return
 			}

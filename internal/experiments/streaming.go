@@ -8,49 +8,38 @@ import (
 	"repro/internal/workload"
 )
 
-// E18 locates the streaming-vs-Stepwise crossover on massive instances
-// (workload.MassiveInstance, SingleSlots candidates — the shape the
-// streaming tier is for). Three tiers solve each size:
+// E18 compares the streaming sieve with the exact greedy on massive
+// instances (workload.MassiveInstance, SingleSlots candidates — the shape
+// the streaming tier is for). Two tiers solve each size:
 //
-//   - stepwise: the plain (non-lazy) exact greedy — budget.Stepwise's
-//     eval profile, O(candidates) probes per pick, Θ(n²) total;
-//   - lazy: the lazy exact greedy, the repo's fast exact tier;
+//   - exact: ScheduleAll's lazy greedy, the one exact engine;
 //   - stream: ScheduleAll's sieve path (Options.Streaming), bounded
 //     candidate memory and Õ(n) total probes across residual passes.
 //
 // The table records oracle evals per tier and the streaming cost
-// penalty. The measured crossover: streaming's eval count drops below
-// the stepwise greedy's before n = 500 and the gap widens quadratically,
-// while the lazy tier stays cheapest at every size that fits in memory —
-// so Stepwise-class re-solves should switch to the sieve at scale, and
-// lazy callers should switch only when per-round candidate re-enumeration
-// (or candidate residency) is the binding constraint. README "Streaming"
-// reproduces this table.
+// penalty. Both grow linearly in n, and the sieve spends about 7× the
+// exact greedy's evals at every size, so it never wins on evals or solve
+// time here; its only case is candidate residency, which this table does
+// not measure. README "Streaming" reproduces this table.
 func E18(cfg Config) *stats.Table {
-	tbl := stats.NewTable("E18 — streaming sieve vs exact greedy tiers on massive instances",
-		"jobs", "stepwise evals", "lazy evals", "stream evals", "stream/stepwise evals", "stream/exact cost")
+	tbl := stats.NewTable("E18 — streaming sieve vs the exact greedy on massive instances",
+		"jobs", "exact evals", "stream evals", "stream/exact evals", "stream/exact cost")
 	sizes := []int{500, 1000, 2500, 5000}
 	if cfg.Quick {
 		sizes = []int{250, 500}
 	}
 	type row struct {
-		stepEvals, lazyEvals, streamEvals float64
-		costRatio                         float64
+		exactEvals, streamEvals float64
+		costRatio               float64
 	}
 	rows := make([]row, len(sizes))
 	parTrials(len(sizes), cfg.Seed, func(trial int, rng *rand.Rand) {
 		n := sizes[trial]
 		ins := workload.MassiveInstance(rng, 4, n, 2)
 		base := sched.Options{Policy: sched.SingleSlots, Workers: cfg.Workers}
-		step, err := sched.ScheduleAll(ins, base)
+		exact, err := sched.ScheduleAll(ins, base)
 		if err != nil {
 			return // leaves zeros; planted instances are always feasible
-		}
-		lazyO := base
-		lazyO.Lazy = true
-		lazy, err := sched.ScheduleAll(ins, lazyO)
-		if err != nil {
-			return
 		}
 		streamO := base
 		streamO.Streaming = true
@@ -60,20 +49,19 @@ func E18(cfg Config) *stats.Table {
 			return
 		}
 		rows[trial] = row{
-			stepEvals:   float64(step.Evals),
-			lazyEvals:   float64(lazy.Evals),
+			exactEvals:  float64(exact.Evals),
 			streamEvals: float64(stream.Evals),
-			costRatio:   stream.Cost / step.Cost,
+			costRatio:   stream.Cost / exact.Cost,
 		}
 	})
 	for i, n := range sizes {
 		r := rows[i]
 		ratio := 0.0
-		if r.stepEvals > 0 {
-			ratio = r.streamEvals / r.stepEvals
+		if r.exactEvals > 0 {
+			ratio = r.streamEvals / r.exactEvals
 		}
-		tbl.AddRow(float64(n), r.stepEvals, r.lazyEvals, r.streamEvals, ratio, r.costRatio)
+		tbl.AddRow(float64(n), r.exactEvals, r.streamEvals, ratio, r.costRatio)
 	}
-	tbl.Note = "Shape check: stepwise evals grow ~quadratically and stream evals ~linearly, so stream/stepwise falls below 1 at every tabulated size and keeps shrinking (the crossover sits below the first row); lazy evals stay smallest throughout; stream/exact cost stays a small constant (the sieve's (1/2−ε) residual passes buy bounded memory, not better cost)."
+	tbl.Note = "Shape check: exact and stream evals both grow ~linearly, and stream/exact evals stays above 1 (about 7) at every size: the sieve buys bounded candidate memory, not fewer evals; stream/exact cost stays a small constant."
 	return tbl
 }

@@ -107,15 +107,15 @@ func TestPlainOracleMatchesIncremental(t *testing.T) {
 
 		inc, errInc := ScheduleAll(ins, Options{})
 		plain, errPlain := ScheduleAll(ins, Options{PlainOracle: true})
-		lazy, errLazy := ScheduleAll(ins, Options{Lazy: true})
-		if (errInc == nil) != (errPlain == nil) || (errInc == nil) != (errLazy == nil) {
-			t.Fatalf("trial %d: paths disagree on feasibility: inc=%v plain=%v lazy=%v",
-				trial, errInc, errPlain, errLazy)
+		eager, errEager := ScheduleAllReference(ins, Options{})
+		if (errInc == nil) != (errPlain == nil) || (errInc == nil) != (errEager == nil) {
+			t.Fatalf("trial %d: paths disagree on feasibility: inc=%v plain=%v eager=%v",
+				trial, errInc, errPlain, errEager)
 		}
 		if errInc == nil {
-			if math.Abs(inc.Cost-plain.Cost) > 1e-9 || math.Abs(inc.Cost-lazy.Cost) > 1e-9 {
-				t.Fatalf("trial %d: costs diverge: inc %g plain %g lazy %g",
-					trial, inc.Cost, plain.Cost, lazy.Cost)
+			if math.Abs(inc.Cost-plain.Cost) > 1e-9 || math.Abs(inc.Cost-eager.Cost) > 1e-9 {
+				t.Fatalf("trial %d: costs diverge: inc %g plain %g eager %g",
+					trial, inc.Cost, plain.Cost, eager.Cost)
 			}
 			if inc.Evals >= plain.Evals {
 				t.Fatalf("trial %d: incremental path should issue fewer counted evals (%d vs %d)",

@@ -34,6 +34,10 @@ type Model struct {
 	// re-solve after every mutation). Reuse is why a Model must not run
 	// concurrent solves — already the documented contract.
 	ivScratch []Interval
+
+	// reference marks a model built by a Reference entry point: its
+	// stateless solves run the eager serial greedy (see Model.greedy).
+	reference bool
 }
 
 // NewModel builds the bipartite formulation. Only slots usable by some job

@@ -25,10 +25,11 @@ func sameSchedule(t *testing.T, label string, ref, got *Schedule) {
 }
 
 // TestSchedulingWorkerCountDeterminism runs every algorithm over the
-// matcher oracles (Lemmas 2.2.2 and 2.3.2) serial vs 2/4/8 workers, plain
-// and lazy greedy, incremental and from-scratch oracles, and asserts the
-// schedules are identical. The CI race job runs this package with -race,
-// which exercises the sharded matcher replicas for data races.
+// matcher oracles (Lemmas 2.2.2 and 2.3.2) through the lazy engine at
+// 1/2/4/8 workers, incremental and from-scratch oracles, and asserts the
+// schedules are identical to the eager serial reference's on the same
+// oracle. The CI race job runs this package with -race, which exercises
+// the sharded matcher replicas for data races.
 func TestSchedulingWorkerCountDeterminism(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*6151 + 29))
@@ -39,32 +40,28 @@ func TestSchedulingWorkerCountDeterminism(t *testing.T) {
 		}
 		z := 0.6 * total
 
-		for _, lazy := range []bool{false, true} {
-			for _, plain := range []bool{false, true} {
-				base := Options{Lazy: lazy, PlainOracle: plain}
-				run := func(opts Options) (map[string]*Schedule, map[string]error) {
-					scheds, errs := map[string]*Schedule{}, map[string]error{}
-					scheds["all"], errs["all"] = ScheduleAll(ins, opts)
-					scheds["prize"], errs["prize"] = PrizeCollecting(ins, z, withEps(opts, 0.1))
-					scheds["prize-exact"], errs["prize-exact"] = PrizeCollectingExact(ins, z, opts)
-					return scheds, errs
-				}
-				refScheds, refErrs := run(base)
-				for _, workers := range []int{2, 4, 8} {
-					opts := base
-					opts.Workers = workers
-					gotScheds, gotErrs := run(opts)
-					for algo := range refScheds {
-						label := algo
-						if (refErrs[algo] == nil) != (gotErrs[algo] == nil) {
-							t.Fatalf("trial %d %s lazy=%t plain=%t workers=%d: feasibility disagreement: %v vs %v",
-								trial, label, lazy, plain, workers, refErrs[algo], gotErrs[algo])
-						}
-						if refErrs[algo] != nil {
-							continue
-						}
-						sameSchedule(t, label, refScheds[algo], gotScheds[algo])
+		for _, plain := range []bool{false, true} {
+			base := Options{PlainOracle: plain}
+			refScheds, refErrs := map[string]*Schedule{}, map[string]error{}
+			refScheds["all"], refErrs["all"] = ScheduleAllReference(ins, base)
+			refScheds["prize"], refErrs["prize"] = PrizeCollectingReference(ins, z, withEps(base, 0.1))
+			refScheds["prize-exact"], refErrs["prize-exact"] = PrizeCollectingExactReference(ins, z, base)
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := base
+				opts.Workers = workers
+				gotScheds, gotErrs := map[string]*Schedule{}, map[string]error{}
+				gotScheds["all"], gotErrs["all"] = ScheduleAll(ins, opts)
+				gotScheds["prize"], gotErrs["prize"] = PrizeCollecting(ins, z, withEps(opts, 0.1))
+				gotScheds["prize-exact"], gotErrs["prize-exact"] = PrizeCollectingExact(ins, z, opts)
+				for algo := range refScheds {
+					if (refErrs[algo] == nil) != (gotErrs[algo] == nil) {
+						t.Fatalf("trial %d %s plain=%t workers=%d: feasibility disagreement: %v vs %v",
+							trial, algo, plain, workers, refErrs[algo], gotErrs[algo])
 					}
+					if refErrs[algo] != nil {
+						continue
+					}
+					sameSchedule(t, algo, refScheds[algo], gotScheds[algo])
 				}
 			}
 		}

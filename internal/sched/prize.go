@@ -55,14 +55,7 @@ func prizeCollecting(model *Model, z float64, opts Options) (*Schedule, error) {
 		Subsets:   budgetSubsets(cands),
 		Threshold: z,
 	}
-	run := budget.Greedy
-	if opts.Lazy {
-		run = budget.LazyGreedy
-	}
-	res, err := run(prob, budget.Options{
-		Eps: eps, Workers: opts.Workers, Parallel: opts.Parallel,
-		PlainEval: opts.PlainOracle, NoDeltaReplay: opts.NoDeltaReplay,
-	})
+	res, err := model.greedy(prob, eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}

@@ -144,15 +144,17 @@ func TestScheduleAllValidatesOnRandom(t *testing.T) {
 	}
 }
 
+// TestFastMatchesBudgetPath pins ScheduleAll's lazy engine to the eager
+// budget.Greedy reference on the same incremental oracle.
 func TestFastMatchesBudgetPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 15; trial++ {
 		ins := randomInstance(rng, 2, 10, 5)
-		slow, err := ScheduleAll(ins, Options{})
+		slow, err := ScheduleAllReference(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := ScheduleAll(ins, Options{Fast: true})
+		fast, err := ScheduleAll(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,15 +175,17 @@ func TestFastMatchesBudgetPath(t *testing.T) {
 	}
 }
 
+// TestLazyMatchesPlainSched: the lazy engine lands on the eager
+// reference's schedule without spending more oracle calls.
 func TestLazyMatchesPlainSched(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 10; trial++ {
 		ins := randomInstance(rng, 2, 10, 5)
-		plain, err := ScheduleAll(ins, Options{})
+		plain, err := ScheduleAllReference(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := ScheduleAll(ins, Options{Lazy: true})
+		lazy, err := ScheduleAll(ins, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +456,7 @@ func BenchmarkScheduleAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScheduleAll(ins, Options{Fast: true}); err != nil {
+		if _, err := ScheduleAll(ins, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

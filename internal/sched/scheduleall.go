@@ -87,6 +87,22 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 	}, nil
 }
 
+// greedyOptions maps the options onto the greedy's at slack eps.
+func (o Options) greedyOptions(eps float64) budget.Options {
+	return budget.Options{Eps: eps, Workers: o.Workers, PlainEval: o.PlainOracle, NoDeltaReplay: o.NoDeltaReplay}
+}
+
+// greedy runs prob to completion at slack eps: the lazy engine every
+// production solve runs, or the eager serial budget.Greedy on models
+// built by the Reference entry points.
+func (m *Model) greedy(prob budget.Problem, eps float64, opts Options) (*budget.Result, error) {
+	run := budget.LazyGreedy
+	if m.reference {
+		run = budget.Greedy
+	}
+	return run(prob, opts.greedyOptions(eps))
+}
+
 // finishScheduleAll extracts the schedule from a completed greedy run.
 func (m *Model) finishScheduleAll(opts Options, in *solveInput, res *budget.Result) (*Schedule, error) {
 	n := len(m.Ins.Jobs)

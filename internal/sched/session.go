@@ -73,8 +73,8 @@ type hintRec struct {
 // NewSession validates the instance and opens a session over a private
 // copy of it (jobs and allowed-slot slices are deep-copied; the cost
 // model is shared and must not be mutated by the caller afterwards).
-// opts.Lazy is ignored: sessions always solve through the stepwise lazy
-// greedy, which picks identical subsets to both Greedy and LazyGreedy.
+// Sessions solve through budget.Stepwise, the resumable form of the lazy
+// engine every other solve runs.
 func NewSession(ins *Instance, opts Options) (*Session, error) {
 	if err := ins.check(); err != nil {
 		return nil, err
@@ -329,10 +329,7 @@ func (s *Session) Solve() (*Schedule, error) {
 			hints[i] = budget.Hint{Subset: i, GainBound: bound}
 		}
 	}
-	sw, err := budget.NewStepwise(in.prob, budget.Options{
-		Eps: in.eps, Workers: s.opts.Workers, Parallel: s.opts.Parallel,
-		PlainEval: s.opts.PlainOracle, NoDeltaReplay: s.opts.NoDeltaReplay,
-	}, hints)
+	sw, err := budget.NewStepwise(in.prob, s.opts.greedyOptions(in.eps), hints)
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}

@@ -135,7 +135,7 @@ func TestSessionWarmResolveBeatsColdOnASeries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := ScheduleAll(sess.Instance(), Options{Lazy: true})
+			cold, err := ScheduleAll(sess.Instance(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestSessionCacheAndTargetedInvalidation(t *testing.T) {
 	if !equalSchedules(first, blocked) {
 		t.Fatal("blocking an unused slot changed the schedule")
 	}
-	cold, err := ScheduleAll(sess.Instance(), Options{Lazy: true})
+	cold, err := ScheduleAll(sess.Instance(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,14 +188,7 @@ func (m *Model) scheduleAllStreaming(opts Options) (*Schedule, error) {
 // scheduleAllExact runs the exact greedy over an already-built solve
 // input, charging any oracle evals spent before the fallback.
 func (m *Model) scheduleAllExact(opts Options, in *solveInput, priorEvals int64) (*Schedule, error) {
-	run := budget.Greedy
-	if opts.Lazy {
-		run = budget.LazyGreedy
-	}
-	res, err := run(in.prob, budget.Options{
-		Eps: in.eps, Workers: opts.Workers, Parallel: opts.Parallel,
-		PlainEval: opts.PlainOracle, NoDeltaReplay: opts.NoDeltaReplay,
-	})
+	res, err := m.greedy(in.prob, in.eps, opts)
 	if err != nil {
 		return nil, fmt.Errorf("sched: greedy failed: %w", err)
 	}

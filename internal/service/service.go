@@ -531,18 +531,17 @@ func (s *Service) solve(models *modelCache, req Request) Result {
 
 // cacheKey mixes the instance digest with every request field that
 // changes the answer, including caller-supplied extra candidate
-// intervals. Empty when the request opted out of caching. Workers (and
-// the deprecated Parallel alias) are deliberately excluded: the parallel
-// greedy picks identical subsets at every worker count (asserted by the
-// budget/sched determinism tests), so requests differing only in
-// parallelism share one entry.
+// intervals. Empty when the request opted out of caching. Workers is
+// deliberately excluded: the parallel greedy picks identical subsets at
+// every worker count (asserted by the budget/sched determinism tests), so
+// requests differing only in parallelism share one entry.
 func cacheKey(req Request) string {
 	if req.InstanceKey == "" {
 		return ""
 	}
-	key := fmt.Sprintf("%s|m%d|z%g|e%g|i%t|p%d|l%t|po%t",
+	key := fmt.Sprintf("%s|m%d|z%g|e%g|i%t|p%d|po%t",
 		req.InstanceKey, req.Mode, req.Z, req.Opts.Eps, req.Improve,
-		req.Opts.Policy, req.Opts.Lazy, req.Opts.PlainOracle)
+		req.Opts.Policy, req.Opts.PlainOracle)
 	if req.Opts.Streaming {
 		// The sieve tier picks different (still worker-count-invariant)
 		// schedules, so streaming requests get their own entries.

@@ -414,12 +414,17 @@ func AsIncremental(f SubmodularFunction) (Incremental, bool) {
 }
 
 // BudgetedGreedy runs Lemma 2.1.2's algorithm: utility ≥ (1−ε)·Threshold
-// at cost within O(log 1/ε) of any collection reaching Threshold.
+// at cost within O(log 1/ε) of any collection reaching Threshold. It is
+// the serial eager reference — every round probes every subset, on one
+// goroutine, ignoring Workers — kept for checking other solvers against.
+// Use BudgetedLazyGreedy to solve.
 func BudgetedGreedy(p BudgetProblem, opts BudgetOptions) (*BudgetResult, error) {
 	return budget.Greedy(p, opts)
 }
 
-// BudgetedLazyGreedy computes the same picks with fewer oracle calls.
+// BudgetedLazyGreedy computes the same picks with fewer oracle calls; it
+// is the engine every scheduling solve runs, and the one Workers
+// parallelizes.
 func BudgetedLazyGreedy(p BudgetProblem, opts BudgetOptions) (*BudgetResult, error) {
 	return budget.LazyGreedy(p, opts)
 }
