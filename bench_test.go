@@ -1,10 +1,11 @@
 // Top-level benchmark harness: one benchmark per experiment in DESIGN.md's
-// index (E1–E15, A1–A4). Each iteration regenerates the experiment's table
+// index (E1–E17, A1–A4). Each iteration regenerates the experiment's table
 // at quick scale, so `go test -bench=.` re-derives every reproduced result.
 // Per-module micro-benchmarks live next to their packages.
 package powersched_test
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -77,7 +78,6 @@ func BenchmarkE14OnlinePowerDown(b *testing.B)    { benchExperiment(b, "E14") }
 func BenchmarkE15GammaOblivious(b *testing.B)     { benchExperiment(b, "E15") }
 func BenchmarkE16RollingHorizon(b *testing.B)     { benchExperiment(b, "E16") }
 func BenchmarkE17ScenarioMatrix(b *testing.B)     { benchExperiment(b, "E17") }
-func BenchmarkE18StreamingCrossover(b *testing.B) { benchExperiment(b, "E18") }
 func BenchmarkA1LazyGreedy(b *testing.B)          { benchExperiment(b, "A1") }
 func BenchmarkA2CandidatePolicy(b *testing.B)     { benchExperiment(b, "A2") }
 func BenchmarkA3IncrementalMatching(b *testing.B) { benchExperiment(b, "A3") }
@@ -131,6 +131,28 @@ func BenchmarkScheduleAllLazyW1(b *testing.B) { benchScheduleAllLazy(b, 1) }
 func BenchmarkScheduleAllLazyW2(b *testing.B) { benchScheduleAllLazy(b, 2) }
 func BenchmarkScheduleAllLazyW4(b *testing.B) { benchScheduleAllLazy(b, 4) }
 func BenchmarkScheduleAllLazyW8(b *testing.B) { benchScheduleAllLazy(b, 8) }
+
+// BenchmarkScheduleAllMassive times the exact engine alone at the scale
+// workload.MassiveInstance is shaped for: the instance is built once per
+// size outside the timer, solved with SingleSlots candidates at W=1.
+func BenchmarkScheduleAllMassive(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		ins := workload.MassiveInstance(rand.New(rand.NewSource(1)), 4, n, 2)
+		opts := sched.Options{Policy: sched.SingleSlots, Workers: 1}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := sched.ScheduleAll(ins, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.Scheduled != n {
+					b.Fatalf("scheduled %d of %d", s.Scheduled, n)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkSessionResolve measures the session's warm re-solve cycle —
 // mutate (add a job), solve, mutate back (remove it), solve — against

@@ -14,9 +14,12 @@
 //	  "cost": {"model": "affine", "alpha": 2, "rate": 1},
 //	  "jobs": [{"value": 1, "allowed": [{"proc": 0, "time": 3}, ...]}, ...],
 //	  "mode": "all" | "prize" | "prize-exact",
-//	  "z": 10.0, "eps": 0.1, "improve": false,
-//	  "solver": "exact" | "streaming"
+//	  "z": 10.0, "eps": 0.1, "improve": false, "workers": 1
 //	}
+//
+// "z" and "eps" apply to the prize modes only: mode "all" schedules
+// every job (or fails with the Hall witness) and always runs Theorem
+// 2.2.1's ε = 1/(n+1). "workers" is clamped to GOMAXPROCS.
 //
 // Cost models: "affine" {alpha, rate}; "perproc" {alphas, rates};
 // "timeofuse" {alphas, rates, price}; "superlinear" {alpha, rate, fan,
@@ -26,10 +29,7 @@
 //
 // Solve flags: -workers sets the greedy's candidate-probe parallelism
 // (sharded incremental-oracle replicas; identical schedules at any count,
-// the JSON "workers" field wins when set); -solver exact|streaming picks
-// the mode-"all" greedy tier — "streaming" routes instances at or above
-// the streaming threshold through the bounded-memory sieve instead of
-// the exact stepwise greedy (below it the flag is a no-op).
+// the JSON "workers" field wins when set).
 //
 // Serve flags: -addr (default :8080), -workers, -queue, -cache,
 // -probe-workers (default per-request greedy parallelism for requests
@@ -60,10 +60,7 @@
 // Simulate flags: -trace poisson|diurnal|frontloaded, -cost
 // affine|speedscaled|sleepstate|composite, -procs, -horizon, -jobs,
 // -window, -seed, -alpha (wake cost, all models), -rate (per-slot cost;
-// read by affine and sleepstate only), -workers, -solver
-// exact|streaming (streaming re-solves arrivals through the sieve tier
-// once the accumulated instance crosses the streaming threshold). The
-// run is
+// read by affine and sleepstate only), -workers. The run is
 // deterministic per seed; the JSON report compares the committed online
 // schedule against the clairvoyant offline solve of the same trace, and
 // for sleep-state models also reports the gap-aware hardware cost of the
@@ -92,7 +89,7 @@ import (
 	"repro/internal/workload"
 )
 
-func run(in io.Reader, out io.Writer, workers int, solver string) error {
+func run(in io.Reader, out io.Writer, workers int) error {
 	data, err := io.ReadAll(in)
 	if err != nil {
 		return err
@@ -103,16 +100,6 @@ func run(in io.Reader, out io.Writer, workers int, solver string) error {
 	}
 	if req.Opts.Workers == 0 {
 		req.Opts.Workers = workers
-	}
-	switch solver {
-	case "", "exact":
-	case "streaming":
-		if req.Mode != service.ModeAll {
-			return fmt.Errorf("-solver streaming requires mode \"all\", got %q", req.Mode)
-		}
-		req.Opts.Streaming = true
-	default:
-		return fmt.Errorf("unknown -solver %q (want exact or streaming)", solver)
 	}
 	s, err := service.Solve(req)
 	if err != nil {
@@ -126,7 +113,6 @@ func run(in io.Reader, out io.Writer, workers int, solver string) error {
 func solveMain(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	workers := fs.Int("workers", 0, "greedy probe parallelism (0 = serial; schedules are identical at any count)")
-	solver := fs.String("solver", "", "greedy tier for mode \"all\": exact (default) | streaming (bounded-memory sieve above the streaming threshold)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -139,7 +125,7 @@ func solveMain(args []string) error {
 		defer f.Close()
 		in = f
 	}
-	return run(in, os.Stdout, *workers, *solver)
+	return run(in, os.Stdout, *workers)
 }
 
 func serveMain(args []string) error {
@@ -291,18 +277,10 @@ func simulateMain(args []string, out io.Writer) error {
 	alpha := fs.Float64("alpha", 4, "wake cost (all cost models)")
 	rate := fs.Float64("rate", 1, "per-slot cost (affine and sleepstate; speedscaled/composite derive slot costs from the speed ramp)")
 	workers := fs.Int("workers", 0, "greedy probe parallelism inside each re-solve")
-	solver := fs.String("solver", "", "re-solve tier: exact (default) | streaming (sieve re-solves once the instance crosses the streaming threshold)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	opts := sched.Options{Workers: *workers}
-	switch *solver {
-	case "", "exact":
-	case "streaming":
-		opts.Streaming = true
-	default:
-		return fmt.Errorf("unknown -solver %q (want exact or streaming)", *solver)
-	}
 	gens := map[string]func(*rand.Rand, workload.TraceParams) *workload.ArrivalTrace{
 		"poisson":     workload.PoissonBurstTrace,
 		"diurnal":     workload.DiurnalTrace,

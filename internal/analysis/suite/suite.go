@@ -13,7 +13,6 @@ import (
 	"repro/internal/analysis/netfaultonly"
 	"repro/internal/analysis/nopaniccost"
 	"repro/internal/analysis/oracleclone"
-	"repro/internal/analysis/streambound"
 )
 
 // Analyzers returns the full contract-linting suite.
@@ -22,7 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 		oracleclone.Analyzer,
 		deltashare.Analyzer,
 		detrand.Analyzer,
-		streambound.Analyzer,
 		nopaniccost.Analyzer,
 		faultfsonly.Analyzer,
 		netfaultonly.Analyzer,

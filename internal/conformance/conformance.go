@@ -162,11 +162,7 @@ func CheckConcurrent(m power.CostModel, procs, horizon int) error {
 // replicas — must produce a byte-identical schedule that
 // Schedule.Validate accepts. If the baseline fails (e.g. the model's
 // blocked slots make the instance unschedulable), every path must fail
-// the same way. The streaming tier is its own arm (checkStreaming): it
-// picks different schedules by design, so instead of byte-equality with
-// the baseline it must be feasible, complete, worker-count invariant over
-// W ∈ {1,2,4,8}, and — in budgeted form at the baseline's cost — within
-// the sieve's (1/2−ε) utility guarantee of the baseline's scheduled count.
+// the same way.
 func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 	baseOpts := opts
 	baseOpts.PlainOracle = true
@@ -196,7 +192,7 @@ func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 			}
 		}
 	}
-	return checkStreaming(ins, opts, base, baseErr)
+	return nil
 }
 
 // CheckPrize is CheckSolve for the prize modes at value target z:
@@ -250,73 +246,6 @@ func sameOutcome(label string, ins *sched.Instance, base *sched.Schedule, baseEr
 	}
 	if err := got.Validate(ins); err != nil {
 		return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
-	}
-	return nil
-}
-
-// checkStreaming is CheckSolve's sieve-tier arm. The threshold is forced
-// negative so the streaming path engages at any instance size.
-func checkStreaming(ins *sched.Instance, opts sched.Options, base *sched.Schedule, baseErr error) error {
-	streamO := opts
-	streamO.Streaming = true
-	streamO.StreamThreshold = -1
-	if baseErr != nil {
-		// Infeasibility comes from the shared Hall check: the streaming
-		// path must reject exactly what the baseline rejects.
-		_, err := sched.ScheduleAll(ins, streamO)
-		if err == nil {
-			return fmt.Errorf("conformance: streaming solved an instance the baseline rejects (%v)", baseErr)
-		}
-		if errors.Is(baseErr, sched.ErrUnschedulable) && !errors.Is(err, sched.ErrUnschedulable) {
-			return fmt.Errorf("conformance: streaming error %q, baseline %q", err, baseErr)
-		}
-		return nil
-	}
-	eps := streamO.StreamEps
-	if eps <= 0 {
-		eps = sched.DefaultStreamEps
-	}
-	var refAll, refBudget *sched.Schedule
-	for _, workers := range []int{1, 2, 4, 8} {
-		o := streamO
-		o.Workers = workers
-		label := fmt.Sprintf("streaming workers=%d", workers)
-		got, err := sched.ScheduleAll(ins, o)
-		if err != nil {
-			return fmt.Errorf("conformance: %s: %w", label, err)
-		}
-		if got.Scheduled != len(ins.Jobs) {
-			return fmt.Errorf("conformance: %s scheduled %d of %d", label, got.Scheduled, len(ins.Jobs))
-		}
-		if err := got.Validate(ins); err != nil {
-			return fmt.Errorf("conformance: %s schedule infeasible: %w", label, err)
-		}
-		if refAll == nil {
-			refAll = got
-		} else if err := got.SameAs(refAll); err != nil {
-			return fmt.Errorf("conformance: %s diverges from streaming workers=1: %w", label, err)
-		}
-		// Budgeted form at the baseline's cost: feasible, within budget,
-		// and within the sieve guarantee of the baseline's coverage.
-		bud, err := sched.ScheduleBudget(ins, base.Cost, o)
-		if err != nil {
-			return fmt.Errorf("conformance: %s budgeted: %w", label, err)
-		}
-		if err := bud.Validate(ins); err != nil {
-			return fmt.Errorf("conformance: %s budgeted schedule infeasible: %w", label, err)
-		}
-		if bud.Cost > base.Cost+1e-9 {
-			return fmt.Errorf("conformance: %s budgeted cost %g exceeds budget %g", label, bud.Cost, base.Cost)
-		}
-		if float64(bud.Scheduled) < (0.5-eps)*float64(base.Scheduled)-1e-9 {
-			return fmt.Errorf("conformance: %s budgeted scheduled %d, below (1/2-%g)·%d",
-				label, bud.Scheduled, eps, base.Scheduled)
-		}
-		if refBudget == nil {
-			refBudget = bud
-		} else if err := bud.SameAs(refBudget); err != nil {
-			return fmt.Errorf("conformance: %s budgeted diverges from streaming workers=1: %w", label, err)
-		}
 	}
 	return nil
 }

@@ -322,35 +322,3 @@ func TestE17Shape(t *testing.T) {
 		t.Fatal("sleepstate row shows no hardware-cost credit — the hook is dead")
 	}
 }
-
-func TestE18Shape(t *testing.T) {
-	rows := tableFor(t, "E18")
-	if len(rows) != 2 {
-		t.Fatalf("E18 quick run has %d rows, want one per instance size", len(rows))
-	}
-	prevExact, prevStream := 0.0, 0.0
-	for r, row := range rows {
-		n := cell(t, rows, r, 0)
-		exact := cell(t, rows, r, 1)
-		stream := cell(t, rows, r, 2)
-		ratio := cell(t, rows, r, 3)
-		costRatio := cell(t, rows, r, 4)
-		if n <= 0 || exact <= 0 || stream <= 0 {
-			t.Fatalf("row %v: missing measurements", row)
-		}
-		// The exact lazy greedy spends fewer evals than the sieve at
-		// every tabulated size.
-		if ratio <= 1 {
-			t.Fatalf("n=%g: stream/exact evals = %g, want > 1", n, ratio)
-		}
-		// Streaming trades bounded memory for a bounded cost penalty, not
-		// an unbounded one.
-		if costRatio <= 0 || costRatio > 8 {
-			t.Fatalf("n=%g: stream/exact cost = %g", n, costRatio)
-		}
-		if r > 0 && (exact <= prevExact || stream <= prevStream) {
-			t.Fatalf("evals not growing with n: exact %g→%g stream %g→%g", prevExact, exact, prevStream, stream)
-		}
-		prevExact, prevStream = exact, stream
-	}
-}

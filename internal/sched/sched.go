@@ -120,7 +120,7 @@ func (p CandidatePolicy) String() string {
 // PlainOracle's sums may round differently; see package budget).
 type Options struct {
 	Policy CandidatePolicy
-	Eps    float64 // bicriteria slack for PrizeCollecting; ScheduleAll defaults to 1/(n+1)
+	Eps    float64 // bicriteria slack for the prize modes; ScheduleAll always uses 1/(n+1)
 	// Workers is the number of concurrent candidate-probe goroutines
 	// inside the greedy. Each worker owns a cloned incremental-matcher
 	// replica, so multicore and the incremental fast path compose; the
@@ -141,50 +141,6 @@ type Options struct {
 	// policy's enumeration — the thesis's "costs might be explicitly given
 	// in the input" mode, e.g. contract blocks a power provider offers.
 	Extra []Interval
-	// Streaming routes ScheduleAll (and Session/Engine solves) through
-	// the bounded-memory sieve tier (budget.RunSieve) once the instance
-	// has at least StreamThreshold jobs: budget-doubled single passes
-	// over the candidate stream instead of full per-round re-enumeration.
-	// Below the threshold — or if the doubled budget ladder cannot cover
-	// every job — the exact greedy runs as before, so ScheduleAll's
-	// contract (all jobs scheduled or ErrUnschedulable) is unchanged;
-	// only the interval choice and cost may differ from the exact path.
-	Streaming bool
-	// StreamEps is the sieve ladder resolution and guarantee slack ε in
-	// (0,1); 0 means DefaultStreamEps.
-	StreamEps float64
-	// StreamThreshold is the minimum job count before Streaming leaves
-	// the exact path; 0 means DefaultStreamThreshold, negative forces
-	// streaming at any size (the conformance matrix uses that).
-	StreamThreshold int
-}
-
-// Streaming-tier defaults: ε = 0.1 keeps the ladder ~7 levels per
-// utility octave. Below the threshold the exact greedy always runs; on
-// evals it wins at every size experiment E18 measures (the sieve spends
-// about 7× as many).
-const (
-	DefaultStreamEps       = 0.1
-	DefaultStreamThreshold = 2048
-)
-
-// streamEps resolves the effective sieve ε.
-func (o Options) streamEps() float64 {
-	if o.StreamEps > 0 {
-		return o.StreamEps
-	}
-	return DefaultStreamEps
-}
-
-// streamThreshold resolves the minimum streaming job count.
-func (o Options) streamThreshold() int {
-	switch {
-	case o.StreamThreshold > 0:
-		return o.StreamThreshold
-	case o.StreamThreshold < 0:
-		return 0
-	}
-	return DefaultStreamThreshold
 }
 
 // Errors returned by the algorithms.

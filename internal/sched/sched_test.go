@@ -82,6 +82,44 @@ func TestScheduleAllEmpty(t *testing.T) {
 	}
 }
 
+// TestScheduleAllIgnoresEps: Options.Eps is the prize modes' slack. A
+// large one must not stop ScheduleAll (stateless, reference or session)
+// short of every job: four isolated jobs, each allowed one slot, need
+// all four slots awake whatever ε the caller passes.
+func TestScheduleAllIgnoresEps(t *testing.T) {
+	ins := &Instance{Procs: 1, Horizon: 40, Cost: power.Affine{Alpha: 1, Rate: 1}}
+	for _, at := range []int{0, 10, 20, 30} {
+		ins.Jobs = append(ins.Jobs, Job{Value: 1, Allowed: []SlotKey{{0, at}}})
+	}
+	want, err := ScheduleAll(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0.3, 0.6, 0.99} {
+		opts := Options{Eps: eps}
+		sess, err := NewSession(ins, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, solve := range map[string]func() (*Schedule, error){
+			"ScheduleAll":          func() (*Schedule, error) { return ScheduleAll(ins, opts) },
+			"ScheduleAllReference": func() (*Schedule, error) { return ScheduleAllReference(ins, opts) },
+			"Session.Solve":        sess.Solve,
+		} {
+			got, err := solve()
+			if err != nil {
+				t.Fatalf("%s eps=%g: %v", name, eps, err)
+			}
+			if got.Scheduled != len(ins.Jobs) {
+				t.Fatalf("%s eps=%g: scheduled %d of %d", name, eps, got.Scheduled, len(ins.Jobs))
+			}
+			if err := got.SameAs(want); err != nil {
+				t.Fatalf("%s eps=%g: %v", name, eps, err)
+			}
+		}
+	}
+}
+
 func TestScheduleAllUnschedulable(t *testing.T) {
 	ins := &Instance{
 		Procs:   1,

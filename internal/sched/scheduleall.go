@@ -31,19 +31,20 @@ func (m *Model) ScheduleAll(opts Options) (*Schedule, error) {
 	if n == 0 {
 		return &Schedule{Assignment: []SlotKey{}}, nil
 	}
-	if opts.Streaming && n >= opts.streamThreshold() {
-		return m.scheduleAllStreaming(opts)
-	}
 	in, err := m.scheduleAllInput(opts)
 	if err != nil {
 		return nil, err
 	}
-	return m.scheduleAllExact(opts, in, 0)
+	res, err := m.greedy(in.prob, in.eps, opts)
+	if err != nil {
+		return nil, fmt.Errorf("sched: greedy failed: %w", err)
+	}
+	return m.finishScheduleAll(in, res)
 }
 
 // solveInput is the prepared greedy problem for one schedule-all run: the
-// priced candidate intervals, the budget problem over them, and the
-// resolved ε. Sessions build it once per (mutation-invalidated) solve and
+// priced candidate intervals, the budget problem over them, and Theorem
+// 2.2.1's ε. Sessions build it once per (mutation-invalidated) solve and
 // feed it to the warm-started stepwise greedy.
 type solveInput struct {
 	cands []candidate
@@ -71,11 +72,6 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 		}
 		return nil, witness
 	}
-	eps := opts.Eps
-	if eps <= 0 {
-		// Theorem 2.2.1: ε = 1/(n+1) forces the integer utility to reach n.
-		eps = 1 / float64(n+1)
-	}
 	return &solveInput{
 		cands: cands,
 		prob: budget.Problem{
@@ -83,7 +79,10 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 			Subsets:   budgetSubsets(cands),
 			Threshold: float64(n),
 		},
-		eps: eps,
+		// Theorem 2.2.1: ε = 1/(n+1) forces the integer utility to reach
+		// n. A caller's Options.Eps is the prize modes' slack and does
+		// not apply here: a larger ε would stop the greedy short of n.
+		eps: 1 / float64(n+1),
 	}, nil
 }
 
@@ -104,12 +103,12 @@ func (m *Model) greedy(prob budget.Problem, eps float64, opts Options) (*budget.
 }
 
 // finishScheduleAll extracts the schedule from a completed greedy run.
-func (m *Model) finishScheduleAll(opts Options, in *solveInput, res *budget.Result) (*Schedule, error) {
+func (m *Model) finishScheduleAll(in *solveInput, res *budget.Result) (*Schedule, error) {
 	n := len(m.Ins.Jobs)
 	sched := extractUnweighted(m, res.Union.Elements(), chosenIntervals(in.cands, res.Chosen))
 	sched.Evals = res.Evals
-	if sched.Scheduled < n && opts.Eps <= 0 {
-		// With the default ε this is impossible (utility is integral);
+	if sched.Scheduled < n {
+		// With ε = 1/(n+1) this is impossible (utility is integral);
 		// guard against arithmetic drift anyway.
 		return nil, fmt.Errorf("%w: greedy stopped at %d of %d", ErrUnschedulable, sched.Scheduled, n)
 	}

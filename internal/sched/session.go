@@ -46,9 +46,8 @@ type Session struct {
 	baseCost power.CostModel // cost model at creation, before any masking
 	blocked  []SlotKey       // accumulated SetUnavailable slots
 
-	model        *Model
-	cached       *Schedule // last solve, valid until the next mutation
-	cachedStream *Schedule // last SolveStreaming, same lifecycle
+	model  *Model
+	cached *Schedule // last solve, valid until the next mutation
 
 	// Warm-start state: per candidate interval, the capped gain against
 	// the empty set as last measured, stamped with the churn counter at
@@ -57,12 +56,11 @@ type Session struct {
 	churn  int  // total jobs added + removed since session start
 	solved bool // at least one successful solve recorded hints
 
-	lastEvals    int64
-	totalEvals   int64
-	solves       int
-	warmSolves   int
-	streamSolves int
-	cacheHits    int
+	lastEvals  int64
+	totalEvals int64
+	solves     int
+	warmSolves int
+	cacheHits  int
 }
 
 type hintRec struct {
@@ -155,7 +153,7 @@ func (s *Session) AddJob(job Job) (int, error) {
 		s.model.addJob(s.ins.Jobs[idx])
 	}
 	s.churn++
-	s.cached, s.cachedStream = nil, nil
+	s.cached = nil
 	return idx, nil
 }
 
@@ -169,7 +167,7 @@ func (s *Session) RemoveJob(j int) error {
 	s.ins.Jobs = append(s.ins.Jobs[:j], s.ins.Jobs[j+1:]...)
 	s.model = nil
 	s.churn++
-	s.cached, s.cachedStream = nil, nil
+	s.cached = nil
 	return nil
 }
 
@@ -188,7 +186,7 @@ func (s *Session) SetUnavailable(proc, t int) error {
 		u.Block(b.Proc, b.Time)
 	}
 	s.ins.Cost = u.Freeze()
-	s.cached, s.cachedStream = nil, nil
+	s.cached = nil
 	return nil
 }
 
@@ -206,7 +204,7 @@ func (s *Session) AdvanceHorizon(h int) error {
 	}
 	s.ins.Horizon = h
 	if s.opts.Policy == AllPairs {
-		s.cached, s.cachedStream = nil, nil
+		s.cached = nil
 	}
 	return nil
 }
@@ -355,7 +353,7 @@ func (s *Session) Solve() (*Schedule, error) {
 		}
 	}
 	s.hints = fresh
-	sched, err := s.model.finishScheduleAll(s.opts, in, res)
+	sched, err := s.model.finishScheduleAll(in, res)
 	if err != nil {
 		return nil, err
 	}
@@ -369,47 +367,6 @@ func (s *Session) Solve() (*Schedule, error) {
 	s.cached = copySchedule(sched)
 	return sched, nil
 }
-
-// SolveStreaming is Solve through the bounded-memory sieve tier:
-// instances with at least Options.StreamThreshold jobs are solved by
-// residual sieve passes over the candidate stream (the streaming path of
-// ScheduleAll) instead of the exact warm-started greedy; smaller
-// instances delegate to Solve, so callers like the online engine's
-// batched-arrival mode can call it unconditionally. Streaming solves
-// share the session's mutation lifecycle but not its warm-start records
-// — the sieve takes no hints — and cache independently of Solve, since
-// the two paths legitimately return different schedules.
-func (s *Session) SolveStreaming() (*Schedule, error) {
-	n := len(s.ins.Jobs)
-	if n == 0 || n < s.opts.streamThreshold() {
-		return s.Solve()
-	}
-	if s.cachedStream != nil {
-		s.lastEvals = 0
-		s.cacheHits++
-		return copySchedule(s.cachedStream), nil
-	}
-	if s.model == nil {
-		m, err := NewModel(s.ins)
-		if err != nil {
-			return nil, err
-		}
-		s.model = m
-	}
-	sched, err := s.model.scheduleAllStreaming(s.opts)
-	if err != nil {
-		return nil, err
-	}
-	s.lastEvals = sched.Evals
-	s.totalEvals += sched.Evals
-	s.solves++
-	s.streamSolves++
-	s.cachedStream = copySchedule(sched)
-	return sched, nil
-}
-
-// StreamSolves reports how many Solves went through the sieve tier.
-func (s *Session) StreamSolves() int { return s.streamSolves }
 
 // copySchedule deep-copies a schedule so cached results stay immutable.
 func copySchedule(sc *Schedule) *Schedule {

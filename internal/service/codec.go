@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
 
 	"repro/internal/power"
 	"repro/internal/sched"
@@ -78,18 +79,14 @@ type InstanceSpec struct {
 
 	Mode    string  `json:"mode,omitempty"` // "all" (default), "prize", "prize-exact"
 	Z       float64 `json:"z,omitempty"`
-	Eps     float64 `json:"eps,omitempty"`
+	Eps     float64 `json:"eps,omitempty"` // prize modes only; mode "all" always uses 1/(n+1)
 	Improve bool    `json:"improve,omitempty"`
-	// Solver picks the greedy tier for mode "all": "exact" (default) is
-	// the warm-startable stepwise greedy; "streaming" routes instances at
-	// or above sched.DefaultStreamThreshold jobs through the bounded-
-	// memory sieve (sched.Options.Streaming) and is rejected for the
-	// prize modes, which have no streaming tier.
-	Solver string `json:"solver,omitempty"`
 	// Workers is the per-request greedy parallelism (sched.Options
 	// .Workers): concurrent candidate probes over sharded incremental-
 	// oracle replicas. The schedule is identical at any worker count, so
-	// this is a latency knob only; 0 defers to the server's default.
+	// this is a latency knob only; 0 defers to the server's default, and
+	// BuildRequest clamps it to GOMAXPROCS (each worker owns an oracle
+	// replica, so an unbounded count is unbounded memory for no speed).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -264,22 +261,11 @@ func BuildRequest(spec InstanceSpec) (Request, error) {
 	default:
 		return Request{}, fmt.Errorf("unknown mode %q", spec.Mode)
 	}
-	opts := sched.Options{Eps: spec.Eps, Workers: spec.Workers}
-	switch spec.Solver {
-	case "", "exact":
-	case "streaming":
-		if mode != ModeAll {
-			return Request{}, fmt.Errorf("solver %q requires mode \"all\", got %q", spec.Solver, spec.Mode)
-		}
-		opts.Streaming = true
-	default:
-		return Request{}, fmt.Errorf("unknown solver %q", spec.Solver)
-	}
 	return Request{
 		Instance:    ins,
 		Mode:        mode,
 		Z:           spec.Z,
-		Opts:        opts,
+		Opts:        sched.Options{Eps: spec.Eps, Workers: min(spec.Workers, runtime.GOMAXPROCS(0))},
 		Improve:     spec.Improve,
 		InstanceKey: InstanceDigest(spec),
 	}, nil

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -112,45 +113,47 @@ func TestDecodeRequestDefaultsAndErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestSolverField: the wire once had a "solver" field
+// selecting a streaming tier. The decoder ignores unknown keys, so an old
+// request carrying it (any value, any mode) decodes to the same request,
+// and shares the cache entry, of one without it.
 func TestDecodeRequestSolverField(t *testing.T) {
 	base := `{"procs":1,"horizon":3,"cost":{"alpha":1,"rate":1},
 		"jobs":[{"allowed":[{"proc":0,"time":0}]}]`
-	req, err := DecodeRequest([]byte(base + `,"solver":"streaming"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !req.Opts.Streaming {
-		t.Fatal(`"solver":"streaming" did not set Opts.Streaming`)
-	}
-	for _, solver := range []string{"", "exact"} {
-		req, err = DecodeRequest([]byte(base + `,"solver":"` + solver + `"}`))
+	for _, mode := range []string{`"all"`, `"prize","z":1`} {
+		plain, err := DecodeRequest([]byte(base + `,"mode":` + mode + `}`))
 		if err != nil {
-			t.Fatalf("solver %q: %v", solver, err)
+			t.Fatal(err)
 		}
-		if req.Opts.Streaming {
-			t.Fatalf("solver %q set Opts.Streaming", solver)
+		for _, solver := range []string{"streaming", "exact", "quantum"} {
+			req, err := DecodeRequest([]byte(base + `,"mode":` + mode + `,"solver":"` + solver + `"}`))
+			if err != nil {
+				t.Fatalf("mode %s solver %q: %v", mode, solver, err)
+			}
+			if cacheKey(req) != cacheKey(plain) {
+				t.Fatalf("mode %s solver %q: cache key %q, want %q", mode, solver, cacheKey(req), cacheKey(plain))
+			}
 		}
 	}
-	if _, err := DecodeRequest([]byte(base + `,"solver":"quantum"}`)); err == nil ||
-		!strings.Contains(err.Error(), "unknown solver") {
-		t.Fatalf("bad solver err = %v", err)
-	}
-	// Streaming has no prize tier.
-	if _, err := DecodeRequest([]byte(base + `,"mode":"prize","z":1,"solver":"streaming"}`)); err == nil ||
-		!strings.Contains(err.Error(), `requires mode "all"`) {
-		t.Fatalf("prize+streaming err = %v", err)
-	}
-	// Streaming requests must not share cache entries with exact ones.
-	exactReq, err := DecodeRequest([]byte(base + `}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamReq, err := DecodeRequest([]byte(base + `,"solver":"streaming"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cacheKey(exactReq) == cacheKey(streamReq) {
-		t.Fatal("exact and streaming requests share a cache key")
+}
+
+// TestBuildRequestClampsWorkers: every worker owns an oracle replica, so
+// BuildRequest caps the wire "workers" at GOMAXPROCS; values at or below
+// it pass through unchanged.
+func TestBuildRequestClampsWorkers(t *testing.T) {
+	maxW := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ in, want int }{
+		{0, 0}, {1, 1}, {maxW, maxW}, {maxW + 1, maxW}, {4000, maxW},
+	} {
+		spec := testSpec(2, 8, 4, CostSpec{Model: "affine", Alpha: 2, Rate: 1})
+		spec.Workers = tc.in
+		req, err := BuildRequest(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Opts.Workers != tc.want {
+			t.Fatalf("workers %d: Opts.Workers = %d, want %d", tc.in, req.Opts.Workers, tc.want)
+		}
 	}
 }
 

@@ -149,15 +149,15 @@ func BurstySleep(rng *rand.Rand, procs, horizon, bursts, jobsPerBurst int, wake 
 	})
 }
 
-// MassiveInstance builds a guaranteed-feasible instance sized for the
-// streaming tier: jobs jobs over procs processors, each planted on its
-// own slot (job j on processor j mod procs at time j / procs) and
-// allowed a ±window slice around it plus one random decoy slot. Total
+// MassiveInstance builds a guaranteed-feasible instance at scale: jobs
+// jobs over procs processors, each planted on its own slot (job j on
+// processor j mod procs at time j / procs) and allowed a ±window slice
+// around it plus one random decoy slot. Total
 // Allowed entries stay O(jobs·window), and the planted slots form a
 // perfect matching, so ScheduleAll succeeds at any size. The shape is
 // deliberately SingleSlots-friendly: at n = 10⁵ the EventPoints policy's
 // quadratic candidate enumeration is the bottleneck, not the solver, so
-// streaming benchmarks over these instances should pass
+// benchmarks over these instances should pass
 // sched.Options{Policy: sched.SingleSlots}.
 func MassiveInstance(rng *rand.Rand, procs, jobs, window int) *sched.Instance {
 	switch {

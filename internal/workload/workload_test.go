@@ -290,12 +290,10 @@ func TestMassiveInstanceShapeAndFeasibility(t *testing.T) {
 			}
 		}
 	}
-	// A small one solves to full coverage through the streaming tier with
-	// the SingleSlots policy the generator is shaped for.
+	// A small one solves to full coverage with the SingleSlots policy
+	// the generator is shaped for.
 	ins := MassiveInstance(rand.New(rand.NewSource(13)), 2, 120, 2)
-	got, err := sched.ScheduleAll(ins, sched.Options{
-		Streaming: true, StreamThreshold: -1, Policy: sched.SingleSlots,
-	})
+	got, err := sched.ScheduleAll(ins, sched.Options{Policy: sched.SingleSlots})
 	if err != nil {
 		t.Fatal(err)
 	}

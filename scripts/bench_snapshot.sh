@@ -1,7 +1,8 @@
 #!/bin/sh
 # Captures the top-level benchmark suite (one benchmark per experiment,
-# E1-E18 / A1-A4, plus the worker sweeps) as a compact JSON snapshot so
-# future PRs can track the perf trajectory.
+# E1-E17 / A1-A4, E18 being retired, plus the worker sweeps and the
+# per-layer ScheduleAll/Session/Engine benchmarks) as a compact JSON
+# snapshot so future PRs can track the perf trajectory.
 #
 # Usage: scripts/bench_snapshot.sh [out.json | label] [benchtime] [bench-regex]
 #
