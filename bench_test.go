@@ -98,9 +98,6 @@ func BenchmarkE3PrizeCollectingW8(b *testing.B)     { benchExperimentW(b, "E3", 
 func BenchmarkE4ExactThresholdW2(b *testing.B)      { benchExperimentW(b, "E4", 2) }
 func BenchmarkE4ExactThresholdW4(b *testing.B)      { benchExperimentW(b, "E4", 4) }
 func BenchmarkE4ExactThresholdW8(b *testing.B)      { benchExperimentW(b, "E4", 8) }
-func BenchmarkE6MonotoneSecretaryW2(b *testing.B)   { benchExperimentW(b, "E6", 2) }
-func BenchmarkE6MonotoneSecretaryW4(b *testing.B)   { benchExperimentW(b, "E6", 4) }
-func BenchmarkE6MonotoneSecretaryW8(b *testing.B)   { benchExperimentW(b, "E6", 8) }
 func BenchmarkA3IncrementalMatchingW2(b *testing.B) { benchExperimentW(b, "A3", 2) }
 func BenchmarkA3IncrementalMatchingW4(b *testing.B) { benchExperimentW(b, "A3", 4) }
 func BenchmarkA3IncrementalMatchingW8(b *testing.B) { benchExperimentW(b, "A3", 8) }

@@ -29,11 +29,11 @@
 //
 // Solve flags: -workers sets the greedy's candidate-probe parallelism
 // (sharded incremental-oracle replicas; identical schedules at any count,
-// the JSON "workers" field wins when set).
+// the JSON "workers" field wins when set; clamped to GOMAXPROCS).
 //
 // Serve flags: -addr (default :8080), -workers, -queue, -cache,
 // -probe-workers (default per-request greedy parallelism for requests
-// whose spec leaves "workers" unset). The server drains gracefully on
+// whose spec leaves "workers" unset; clamped to GOMAXPROCS). The server drains gracefully on
 // SIGINT/SIGTERM: in-flight and queued requests are answered, new ones
 // are refused with 503. Session endpoints (/v1/session …) expose the
 // mutable solver-session lifecycle. With -state-dir every session is

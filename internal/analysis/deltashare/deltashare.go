@@ -1,12 +1,12 @@
-// Package deltashare enforces the delta-replay ownership contract
-// (submodular.DeltaOracle): the Delta a CommitDelta returns crosses
+// Package deltashare enforces the delta-replay ownership contract of
+// submodular.Incremental's CommitDelta/ApplyDelta: the Delta a CommitDelta returns crosses
 // goroutines — the coordinator hands it to every worker replica — so it
 // must never alias the oracle's own mutable scratch state. The canonical
 // bug is storing a receiver scratch field into the delta buffer
 // (`d.newly = ic.scratch`): the next probe on the committing oracle then
 // rewrites the delta under the replicas applying it, and the corruption
 // surfaces as rare worker-count-dependent pick divergence — the same
-// class as the Clone aliasing bugs oracleclone guards, one protocol
+// class as the Replica aliasing bugs oracleclone guards, one protocol
 // step later.
 //
 // A type is treated as a delta oracle when it declares both CommitDelta
@@ -24,12 +24,9 @@
 //
 //	weights []float64 //powersched:delta-shared immutable problem data
 //
-// The analyzer also pins the copy-on-write side of the protocol: a type
-// that declares Replica() (the cheap shared-state probe replica of
-// submodular.ReplicaProvider) alongside the incremental-oracle method
-// set must implement the full delta surface (Epoch, CommitDelta,
-// ApplyDelta). Replicas only learn about commits through deltas; a
-// ReplicaProvider without them has no sound way to stay in sync.
+// That every replicable oracle has the delta surface at all is no longer
+// this analyzer's business: Replica, CommitDelta and ApplyDelta are one
+// interface, so the compiler enforces the pairing.
 package deltashare
 
 import (
@@ -42,7 +39,7 @@ import (
 // Analyzer is the deltashare check.
 var Analyzer = &analysis.Analyzer{
 	Name: "deltashare",
-	Doc:  "CommitDelta must not alias oracle scratch into the returned delta; Replica() requires the delta surface",
+	Doc:  "CommitDelta must not alias oracle scratch into the returned delta",
 	Run:  run,
 }
 
@@ -97,16 +94,6 @@ func run(pass *analysis.Pass) error {
 		strct, ok := named.Underlying().(*types.Struct)
 		if !ok {
 			continue
-		}
-		// Replica() on an incremental oracle demands the delta surface.
-		if rep := ms["Replica"]; rep != nil && ms["Gain"] != nil && ms["Commit"] != nil {
-			for _, need := range []string{"Epoch", "CommitDelta", "ApplyDelta"} {
-				if ms[need] == nil {
-					pass.Reportf(rep.Name.Pos(),
-						"%s declares Replica() but not %s: copy-on-write probe replicas sync only through deltas, so a ReplicaProvider must implement the full DeltaOracle surface",
-						tn.Name(), need)
-				}
-			}
 		}
 		commit := ms["CommitDelta"]
 		if commit == nil || ms["ApplyDelta"] == nil {

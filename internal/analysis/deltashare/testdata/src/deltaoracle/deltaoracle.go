@@ -1,7 +1,6 @@
 // Fixture: delta-oracle types (CommitDelta+ApplyDelta method set) whose
 // CommitDelta bodies leak — or correctly copy — receiver scratch into
-// the returned delta, plus ReplicaProvider types with and without the
-// delta surface. The Leaky type reconstructs the shared-mutable-delta
+// the returned delta. The Leaky type reconstructs the shared-mutable-delta
 // bug: the oracle's probe scratch stored into the delta buffer, so the
 // next probe on the committer rewrites the delta under every replica
 // still applying it.
@@ -90,30 +89,6 @@ func (o *Clean) CommitDelta(items []int) (*weightedDelta, float64) {
 }
 
 func (o *Clean) ApplyDelta(d *weightedDelta) error { return nil }
-
-// Cow declares Replica() with the full delta surface: compliant.
-type Cow struct {
-	epoch uint64
-}
-
-func (o *Cow) Gain(items []int) float64              { return 0 }
-func (o *Cow) Commit(items []int) float64            { o.epoch++; return 0 }
-func (o *Cow) Epoch() uint64                         { return o.epoch }
-func (o *Cow) CommitDelta(i []int) (*delta, float64) { o.epoch++; return &delta{epoch: o.epoch}, 0 }
-func (o *Cow) ApplyDelta(d *delta) error             { o.epoch = d.epoch; return nil }
-func (o *Cow) Replica() *Cow                         { return &Cow{epoch: o.epoch} }
-
-// Orphan declares Replica() without any way to sync the replicas.
-type Orphan struct {
-	count int
-}
-
-func (o *Orphan) Gain(items []int) float64   { return 0 }
-func (o *Orphan) Commit(items []int) float64 { o.count++; return 0 }
-
-func (o *Orphan) Replica() *Orphan { // want `Orphan declares Replica\(\) but not Epoch` `Orphan declares Replica\(\) but not CommitDelta` `Orphan declares Replica\(\) but not ApplyDelta`
-	return &Orphan{count: o.count}
-}
 
 // NotADeltaOracle stores scratch into things all it likes: without
 // ApplyDelta nothing it returns is a replayable delta.

@@ -1,19 +1,20 @@
 // Package oracleclone enforces the oracle-replica contract: a concrete
-// incremental-oracle Clone() must return an independent replica —
-// deep-copying every mutable slice/map/pointer field — sharing only
-// data that is declared immutable. A shallow-copied reference field
-// aliases the original's mutable state across replicas, and because
-// replicas probe concurrently and replay commits independently, the
-// corruption surfaces as rare, worker-count-dependent divergence: the
-// PR 4 blocked-list corruption and the PR 5 Composite aliasing both
-// came from exactly this bug class.
+// incremental oracle's Replica() must give the replica its own copy of
+// every mutable slice/map/pointer field, sharing only what the field
+// declares shareable — immutable problem data, or the committed state of
+// a copy-on-write lineage, which replicas only read between commits and
+// keep in step through ApplyDelta. A shallow-copied scratch field aliases
+// the original's mutable state across replicas, and because replicas
+// probe concurrently, the corruption surfaces as rare,
+// worker-count-dependent divergence: the PR 4 blocked-list corruption
+// and the PR 5 Composite aliasing both came from exactly this bug class.
 //
 // A type is treated as an incremental oracle when it declares Gain,
-// Commit, and Clone methods (the shape of submodular.Incremental,
+// Commit, and Replica methods (the shape of submodular.Incremental,
 // matched structurally so the check also covers future oracle
-// interfaces with side constraints). Inside its Clone body the analyzer
-// flags reference-typed fields (slice, map, pointer, chan, interface)
-// copied directly off the receiver:
+// interfaces with side constraints). Inside its Replica body the
+// analyzer flags reference-typed fields (slice, map, pointer, chan,
+// interface) copied directly off the receiver:
 //
 //	&T{spans: o.spans}   // composite literal, keyed or positional
 //	c.spans = o.spans    // field-to-field assignment
@@ -24,6 +25,7 @@
 // declares it where reviewers look, on the field itself:
 //
 //	weights []float64 //powersched:clone-shared immutable problem data
+//	st      *state    //powersched:clone-shared copy-on-write committed state, synced by ApplyDelta
 package oracleclone
 
 import (
@@ -36,7 +38,7 @@ import (
 // Analyzer is the oracleclone check.
 var Analyzer = &analysis.Analyzer{
 	Name: "oracleclone",
-	Doc:  "incremental-oracle Clone() must deep-copy mutable reference fields",
+	Doc:  "incremental-oracle Replica() must deep-copy mutable reference fields",
 	Run:  run,
 }
 
@@ -51,14 +53,14 @@ func isRefType(t types.Type) bool {
 }
 
 // oracle gathers what the analyzer needs about one incremental-oracle
-// type: its struct shape, its Clone body, and the field declarations
+// type: its struct shape, its Replica body, and the field declarations
 // (for annotations).
 type oracle struct {
-	named  *types.Named
-	strct  *types.Struct
-	clone  *ast.FuncDecl
-	file   *ast.File
-	fields map[string]*ast.Field
+	named   *types.Named
+	strct   *types.Struct
+	replica *ast.FuncDecl
+	file    *ast.File
+	fields  map[string]*ast.Field
 }
 
 func run(pass *analysis.Pass) error {
@@ -97,8 +99,8 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for tn, ms := range methods {
-		clone := ms["Clone"]
-		if clone == nil || ms["Gain"] == nil || ms["Commit"] == nil {
+		replica := ms["Replica"]
+		if replica == nil || ms["Gain"] == nil || ms["Commit"] == nil {
 			continue // not an incremental oracle
 		}
 		named, ok := tn.Type().(*types.Named)
@@ -110,13 +112,13 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		o := &oracle{
-			named:  named,
-			strct:  strct,
-			clone:  clone,
-			file:   methodFile[clone],
-			fields: fieldDecls(pass, tn),
+			named:   named,
+			strct:   strct,
+			replica: replica,
+			file:    methodFile[replica],
+			fields:  fieldDecls(pass, tn),
 		}
-		checkClone(pass, o)
+		checkReplica(pass, o)
 	}
 	return nil
 }
@@ -167,17 +169,17 @@ func (o *oracle) sharedAnnotated(name string) bool {
 	return false
 }
 
-// checkClone inspects one Clone body for shallow reference copies.
-func checkClone(pass *analysis.Pass, o *oracle) {
-	recvObj := receiverObject(pass, o.clone)
+// checkReplica inspects one Replica body for shallow reference copies.
+func checkReplica(pass *analysis.Pass, o *oracle) {
+	recvObj := receiverObject(pass, o.replica)
 	if recvObj == nil {
 		return // unnamed receiver: the body cannot read receiver fields
 	}
 
-	// Fields of the clone overwritten anywhere in the body ("c := *o"
+	// Fields of the replica overwritten anywhere in the body ("c := *o"
 	// followed by "c.scratch = make(...)"), keyed by target object.
 	overwritten := map[types.Object]map[string]bool{}
-	ast.Inspect(o.clone.Body, func(n ast.Node) bool {
+	ast.Inspect(o.replica.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
@@ -206,11 +208,11 @@ func checkClone(pass *analysis.Pass, o *oracle) {
 	report := func(pos ast.Node, fieldName string) {
 		ft := fieldType(o.strct, fieldName)
 		pass.Reportf(pos.Pos(),
-			"%s.Clone() shallow-copies reference-typed field %q (%s): replicas alias mutable state (the PR 4 blocked-list / PR 5 Composite bug class) — deep-copy it, or annotate the field //powersched:clone-shared <reason> if sharing is sound",
+			"%s.Replica() shallow-copies reference-typed field %q (%s): replicas alias mutable state (the PR 4 blocked-list / PR 5 Composite bug class) — deep-copy it, or annotate the field //powersched:clone-shared <reason> if sharing is sound",
 			o.named.Obj().Name(), fieldName, ft)
 	}
 
-	ast.Inspect(o.clone.Body, func(n ast.Node) bool {
+	ast.Inspect(o.replica.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.CompositeLit:
 			tv, ok := pass.TypesInfo.Types[node]
@@ -346,7 +348,7 @@ func fieldType(strct *types.Struct, name string) types.Type {
 	return nil
 }
 
-// receiverObject returns the object of the Clone receiver identifier.
+// receiverObject returns the object of the Replica receiver identifier.
 func receiverObject(pass *analysis.Pass, fn *ast.FuncDecl) types.Object {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 || len(fn.Recv.List[0].Names) == 0 {
 		return nil

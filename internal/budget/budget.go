@@ -28,17 +28,15 @@
 // The lazy engine scales across CPUs without giving up the
 // incremental-oracle fast path: Options.Workers revalidates stale heap
 // entries in concurrent batches over goroutines that each own an oracle
-// replica. Replicas stay bit-identical to the primary after every pick,
-// so a probe answers the same on any of them — pick sequences are
-// therefore invariant in the worker count, which the differential tests
-// in parallel_test.go assert oracle by oracle. How a replica keeps up
-// depends on the oracle: when it implements submodular.DeltaOracle the
-// primary commits each pick once (CommitDelta) and ships the resulting
-// per-round delta to every replica (ApplyDelta) — for copy-on-write
-// replicas (submodular.ReplicaProvider) even that degenerates to an epoch
-// check on shared state — otherwise each replica is a deep Clone
-// replaying the pick's Commit itself (still available via
-// Options.NoDeltaReplay as the ablation baseline).
+// replica (submodular.Incremental.Replica). Replicas stay bit-identical
+// to the primary after every pick, so a probe answers the same on any of
+// them — pick sequences are therefore invariant in the worker count,
+// which the differential tests in parallel_test.go assert oracle by
+// oracle. Replicas keep up one way only: the primary commits each pick
+// once (CommitDelta) and every replica applies the resulting delta
+// (ApplyDelta), which for the copy-on-write oracles is an epoch check on
+// the shared state. A serial run has no replicas and commits with plain
+// Commit.
 package budget
 
 import (
@@ -92,21 +90,14 @@ type Options struct {
 	// Must be in (0, 1].
 	Eps float64
 	// Workers is the number of concurrent probe goroutines of the lazy
-	// engine (LazyGreedy, Stepwise), each owning a cloned
-	// incremental-oracle replica; 0 and 1 both mean serial. Picked subsets
-	// are identical for every worker count. Greedy ignores it.
+	// engine (LazyGreedy, Stepwise), each owning an incremental-oracle
+	// replica; 0 and 1 both mean serial. Picked subsets are identical for
+	// every worker count. Greedy ignores it.
 	Workers int
 	// PlainEval disables the incremental-oracle fast path even when F
 	// provides one (submodular.AsIncremental), recomputing every probe
 	// from scratch — the ablation A1/A3 baseline.
 	PlainEval bool
-	// NoDeltaReplay disables per-round delta replay and copy-on-write
-	// probe replicas even when the oracle provides them
-	// (submodular.DeltaOracle / ReplicaProvider), falling back to deep
-	// clones that replay every pick's Commit — the PR 3 replication
-	// scheme, kept as the conformance/ablation baseline. Pick sequences
-	// are identical either way.
-	NoDeltaReplay bool
 }
 
 // Step records one greedy pick, forming the trace used by the phase
@@ -157,9 +148,7 @@ var ErrInfeasible = errors.New("budget: threshold unreachable with given subsets
 
 const tol = 1e-12
 
-// workspace is the per-run state shared by Greedy and LazyGreedy (the
-// secretary package's OfflineGreedyCardinalityWorkers mirrors the same
-// replica/replay scheme for singleton probes — keep them in sync): the
+// workspace is the per-run state shared by Greedy and LazyGreedy: the
 // resolved worker count, the per-worker oracle replicas (or plain-Eval
 // probe buffers), and the candidates' materialized item lists.
 // Everything is allocated once per run — the probe loops and parallel
@@ -169,39 +158,30 @@ type workspace struct {
 	workers int
 	x       float64 // utility cap (Problem.Threshold)
 
-	// Incremental fast path: replicas[0] is the primary oracle; the rest
-	// keep up either by applying the primary's per-round deltas (delta
-	// mode: copy-on-write views or deep clones, see newWorkspace) or by
-	// replaying every commit themselves. nil on the plain-Eval path.
+	// Incremental fast path: replicas[0] is the primary oracle and
+	// replicas[1..W-1] its probe replicas. nil on the plain-Eval path.
 	replicas []submodular.Incremental
 	itemsOf  [][]int
 
-	// Delta mode (workers > 1, oracle implements DeltaOracle, and
-	// NoDeltaReplay unset): the per-worker delta surfaces, and the pick's
-	// delta awaiting application on workers 1..W-1. wdelta[0] belongs to
-	// the primary, which commits in markPicked on the coordinating
+	// pendingDelta is the last pick's delta (workers > 1), awaiting
+	// ApplyDelta on replicas 1..W-1 at the start of the next parallel
+	// phase. The primary commits in markPicked on the coordinating
 	// goroutine — before the worker goroutines launch, so the commit
 	// happens-before every ApplyDelta.
-	wdelta       []submodular.DeltaOracle
 	pendingDelta submodular.Delta
 
 	// inline pins the workspace to sequential shard execution. It is set
-	// when the worker slots alias the primary oracle (single-CPU delta
-	// mode, see newWorkspace): aliased slots must never probe
-	// concurrently — matcher probes mutate and roll back shared state —
-	// and GOMAXPROCS can change mid-run, so the aliasing decision is
-	// remembered here rather than re-derived per phase.
+	// when the worker slots alias the primary oracle (single CPU, see
+	// newWorkspace): aliased slots must never probe concurrently —
+	// matcher probes mutate and roll back shared state — and GOMAXPROCS
+	// can change mid-run, so the aliasing decision is remembered here
+	// rather than re-derived per phase.
 	inline bool
 
 	// Plain-Eval path: the current union plus one probe buffer per
 	// worker. cur is maintained on both paths (it is Result.Union).
 	cur     *bitset.Set
 	scratch []*bitset.Set
-
-	// pending holds the last pick's items until every replica has
-	// replayed the commit: parallel phases replay it per worker, serial
-	// paths and exits flush it explicitly.
-	pending []int
 
 	// Lazy revalidation result buffers, one slot per batch entry.
 	batchGain  []float64
@@ -237,36 +217,18 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 		if inc, ok := submodular.AsIncremental(f); ok {
 			ws.replicas = make([]submodular.Incremental, workers)
 			ws.replicas[0] = inc
-			primaryDelta, hasDelta := submodular.AsDeltaOracle(inc)
-			useDelta := hasDelta && workers > 1 && !opts.NoDeltaReplay
-			if useDelta {
-				ws.wdelta = make([]submodular.DeltaOracle, workers)
-				ws.wdelta[0] = primaryDelta
-				// On a single schedulable CPU the shards run inline
-				// (runWorkers), so the worker slots alias the primary
-				// oracle outright instead of cloning it: probes are pure,
-				// and syncReplica's ApplyDelta of the just-committed delta
-				// is a current-epoch no-op under the epoch contract. This
-				// is what keeps Workers > 1 allocation-flat on single-core
-				// hosts. Clone-and-replay mode (NoDeltaReplay) cannot
-				// alias — its sync re-Commits the pick per replica, which
-				// would double-apply on a shared oracle.
-				ws.inline = runtime.GOMAXPROCS(0) == 1
-			}
+			// On a single schedulable CPU the shards run inline
+			// (runWorkers), so the worker slots alias the primary oracle
+			// outright instead of holding replicas: probes are pure, and
+			// syncReplica's ApplyDelta of the just-committed delta is a
+			// current-epoch no-op under the epoch contract. This is what
+			// keeps Workers > 1 allocation-flat on single-core hosts.
+			ws.inline = workers > 1 && runtime.GOMAXPROCS(0) == 1
 			for w := 1; w < workers; w++ {
-				switch {
-				case useDelta && ws.inline:
+				if ws.inline {
 					ws.replicas[w] = inc
-					ws.wdelta[w] = primaryDelta
-				case useDelta:
-					ws.replicas[w] = submodular.NewProbeReplica(inc)
-					d, ok := submodular.AsDeltaOracle(ws.replicas[w])
-					if !ok {
-						panic("budget: probe replica lost the delta surface")
-					}
-					ws.wdelta[w] = d
-				default:
-					ws.replicas[w] = inc.Clone()
+				} else {
+					ws.replicas[w] = inc.Replica()
 				}
 			}
 			ws.itemsOf = make([][]int, len(p.Subsets))
@@ -288,70 +250,43 @@ func newWorkspace(f submodular.Function, p Problem, opts Options) *workspace {
 	return ws
 }
 
-// markPicked commits the chosen subset. The caller updates cur itself
-// (both paths need the union). Probes stop counting as initial-state
-// gains from here on.
+// markPicked commits the chosen subset on the primary oracle. The caller
+// updates cur itself (both paths need the union). Probes stop counting as
+// initial-state gains from here on.
 //
-// In delta mode the primary commits here, on the coordinating goroutine
-// between probe phases, and the resulting delta is parked for workers
-// 1..W-1 to apply at the start of the next parallel phase. Otherwise the
-// pick's items are parked for deferred Commit replay: the parallel phases
-// replay them per worker, serial paths flush them explicitly.
+// A serial run commits with plain Commit. With workers the primary
+// commits with CommitDelta, on the coordinating goroutine between probe
+// phases, and the delta is parked for replicas 1..W-1 to apply at the
+// start of the next parallel phase. After the last pick only the
+// primary's Value is read, so the replicas are left one delta behind.
 func (ws *workspace) markPicked(i int) {
 	ws.recordZero = false
-	if ws.replicas == nil {
-		return
-	}
-	if ws.wdelta != nil {
-		ws.pendingDelta, _ = ws.wdelta[0].CommitDelta(ws.itemsOf[i])
-		return
-	}
-	ws.pending = ws.itemsOf[i]
-}
-
-// syncReplica brings worker w's replica up to date with the primary
-// inside a parallel phase: apply the parked delta (an epoch-check no-op
-// for copy-on-write replicas) or replay the parked commit. The
-// coordinating goroutine clears the parked state after the phase.
-func (ws *workspace) syncReplica(w int, pending []int, pendingDelta submodular.Delta) {
-	if ws.replicas == nil {
-		return
-	}
-	if pendingDelta != nil {
-		if w == 0 {
-			return // the primary committed in markPicked
-		}
-		if err := ws.wdelta[w].ApplyDelta(pendingDelta); err != nil {
-			panic("budget: replica rejected same-lineage delta: " + err.Error())
-		}
-		return
-	}
-	if len(pending) > 0 {
-		ws.replicas[w].Commit(pending)
+	switch {
+	case ws.replicas == nil:
+	case ws.workers == 1:
+		ws.replicas[0].Commit(ws.itemsOf[i])
+	default:
+		ws.pendingDelta, _ = ws.replicas[0].CommitDelta(ws.itemsOf[i])
 	}
 }
 
-// flushPending applies the deferred commit to the primary replica on the
-// calling goroutine — the serial paths' commit (replicas[0] is the only
-// replica then), and the final commit before reading Value at exit. The
-// parallel phases replay pending on every replica themselves; after the
-// last pick only the primary's Value is ever read, so the clones are
-// left one commit behind on purpose.
-func (ws *workspace) flushPending() {
-	if len(ws.pending) == 0 {
-		return
+// syncReplica brings worker w's replica up to the primary inside a
+// parallel phase by applying the parked delta d (nil when no pick is
+// pending; an epoch check for copy-on-write replicas and aliased slots).
+// The coordinating goroutine clears the parked delta after the phase.
+func (ws *workspace) syncReplica(w int, d submodular.Delta) {
+	if w == 0 || d == nil {
+		return // the primary committed in markPicked
 	}
-	if ws.replicas != nil {
-		ws.replicas[0].Commit(ws.pending)
+	if err := ws.replicas[w].ApplyDelta(d); err != nil {
+		panic("budget: replica rejected its primary's delta: " + err.Error())
 	}
-	ws.pending = nil
 }
 
 // utility returns the uncapped F of the current union: the committed value
 // when running incrementally (cur mirrors the oracle's base set by
 // construction), a fresh Eval otherwise.
 func (ws *workspace) utility() float64 {
-	ws.flushPending()
 	if ws.replicas != nil {
 		return ws.replicas[0].Value()
 	}
@@ -426,7 +361,7 @@ func (ws *workspace) runWorkers(fn func(w int)) {
 // round probes every unpicked subset and takes the best ratio. On success
 // the result has capped utility at least (1−ε)·Threshold. It is the
 // serial reference the lazy engine is checked against, not a production
-// path: it runs on one goroutine and ignores Workers and NoDeltaReplay.
+// path: it runs on one goroutine and ignores Workers.
 //
 // When F provides an incremental oracle (submodular.AsIncremental) and
 // PlainEval is not set, every probe F(S ∪ Sᵢ) is answered by a stateful
@@ -451,7 +386,6 @@ func Greedy(p Problem, opts Options) (*Result, error) {
 	picked := make([]bool, len(p.Subsets))
 
 	for curU < target-tol {
-		ws.flushPending()
 		base := ws.base(0)
 		best, bestGain, bestRatio := -1, 0.0, math.Inf(-1)
 		for i := range p.Subsets {
@@ -633,12 +567,11 @@ func (ws *workspace) initHeap(subsets []Subset, curU float64) lazyHeap {
 
 // revalidate re-probes a batch of stale heap entries against the current
 // solution and reinserts the still-useful ones stamped with the current
-// round. Workers first replay the pending commit on their replica, then
+// round. Workers first apply the pending delta to their replica, then
 // split the batch; pushes happen on the calling goroutine in batch order.
 // Which worker probes which entry cannot matter: replicas are identical.
 func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset, curU float64, round int) {
 	if ws.workers == 1 {
-		ws.flushPending()
 		base := ws.base(0)
 		for _, e := range batch {
 			if gain, ratio, ok := ws.probe(0, e.idx, base, curU, subsets); ok {
@@ -652,15 +585,15 @@ func (ws *workspace) revalidate(h *lazyHeap, batch []lazyEntry, subsets []Subset
 		ws.batchRatio = make([]float64, len(batch))
 		ws.batchOK = make([]bool, len(batch))
 	}
-	pending, pendingDelta := ws.pending, ws.pendingDelta
+	d := ws.pendingDelta
 	ws.runWorkers(func(w int) {
-		ws.syncReplica(w, pending, pendingDelta)
+		ws.syncReplica(w, d)
 		base := ws.base(w)
 		for bi := w; bi < len(batch); bi += ws.workers {
 			ws.batchGain[bi], ws.batchRatio[bi], ws.batchOK[bi] = ws.probe(w, batch[bi].idx, base, curU, subsets)
 		}
 	})
-	ws.pending, ws.pendingDelta = nil, nil
+	ws.pendingDelta = nil
 	for bi, e := range batch {
 		if ws.batchOK[bi] {
 			h.push(lazyEntry{idx: e.idx, ratio: ws.batchRatio[bi], gain: ws.batchGain[bi], round: round})

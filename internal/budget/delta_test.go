@@ -6,33 +6,29 @@ import (
 	"testing"
 )
 
-// TestDeltaReplayDeterminism is the delta-mode contract: for every
-// incremental oracle, LazyGreedy with delta replay (the default at
-// Workers > 1) and with NoDeltaReplay clone-and-replay picks exactly what
-// the serial Greedy reference picks, at every worker count.
+// TestDeltaReplayDeterminism is the replication contract: for every
+// incremental oracle, LazyGreedy at Workers > 1 — replicas kept in step
+// only by the primary's deltas — picks exactly what the serial Greedy
+// reference picks, at every worker count.
 func TestDeltaReplayDeterminism(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*104729 + 17))
 		for oracle, p := range oracleProblems(rng) {
 			ref, refErr := Greedy(p, Options{Eps: 0.05})
 			for _, workers := range []int{2, 4, 8} {
-				for _, noDelta := range []bool{false, true} {
-					got, gotErr := LazyGreedy(p, Options{Eps: 0.05, Workers: workers, NoDeltaReplay: noDelta})
-					if (refErr == nil) != (gotErr == nil) {
-						t.Fatalf("%s workers=%d noDelta=%t: feasibility disagreement: %v vs %v",
-							oracle, workers, noDelta, refErr, gotErr)
-					}
-					if refErr != nil {
-						continue
-					}
-					if !slices.Equal(ref.Chosen, got.Chosen) {
-						t.Fatalf("%s workers=%d noDelta=%t: picks diverged:\nserial %v\ndelta  %v",
-							oracle, workers, noDelta, ref.Chosen, got.Chosen)
-					}
-					if ref.Cost != got.Cost || ref.Utility != got.Utility {
-						t.Fatalf("%s workers=%d noDelta=%t: cost/utility diverged: (%v,%v) vs (%v,%v)",
-							oracle, workers, noDelta, ref.Cost, ref.Utility, got.Cost, got.Utility)
-					}
+				got, gotErr := LazyGreedy(p, Options{Eps: 0.05, Workers: workers})
+				if (refErr == nil) != (gotErr == nil) {
+					t.Fatalf("%s workers=%d: feasibility disagreement: %v vs %v", oracle, workers, refErr, gotErr)
+				}
+				if refErr != nil {
+					continue
+				}
+				if !slices.Equal(ref.Chosen, got.Chosen) {
+					t.Fatalf("%s workers=%d: picks diverged:\nserial %v\ndelta  %v", oracle, workers, ref.Chosen, got.Chosen)
+				}
+				if ref.Cost != got.Cost || ref.Utility != got.Utility {
+					t.Fatalf("%s workers=%d: cost/utility diverged: (%v,%v) vs (%v,%v)",
+						oracle, workers, ref.Cost, ref.Utility, got.Cost, got.Utility)
 				}
 			}
 		}

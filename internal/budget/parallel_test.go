@@ -2,6 +2,7 @@ package budget
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -161,6 +162,35 @@ func TestLazyHeapPushDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("lazyHeap push/pop allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestWorkersAliasPrimaryOnOneCPU pins the single-CPU aliasing: at
+// GOMAXPROCS 1 every worker slot aliases the primary oracle and no
+// replica is built, so a run allocates the same at any Workers > 1 — a
+// per-worker Replica would grow with the count — and picks what the
+// serial run picks.
+func TestWorkersAliasPrimaryOnOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(3))
+	for oracle, p := range oracleProblems(rng) {
+		ref, err := LazyGreedy(p, Options{Eps: 0.05})
+		if err != nil {
+			t.Fatalf("%s: %v", oracle, err)
+		}
+		allocs := map[int]float64{}
+		for _, workers := range []int{2, 8} {
+			opts := Options{Eps: 0.05, Workers: workers}
+			got, err := LazyGreedy(p, opts)
+			if err != nil || !slices.Equal(got.Chosen, ref.Chosen) {
+				t.Fatalf("%s workers=%d: picks %v (%v), serial %v", oracle, workers, got.Chosen, err, ref.Chosen)
+			}
+			allocs[workers] = testing.AllocsPerRun(5, func() { LazyGreedy(p, opts) })
+		}
+		if allocs[2] != allocs[8] {
+			t.Fatalf("%s: one CPU, %v allocs at 2 workers vs %v at 8: worker slots must alias the primary",
+				oracle, allocs[2], allocs[8])
+		}
 	}
 }
 

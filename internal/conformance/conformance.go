@@ -157,10 +157,9 @@ func CheckConcurrent(m power.CostModel, procs, horizon int) error {
 // CheckSolve exercises the solver contract on one instance: the eager
 // serial plain-oracle greedy (sched.ScheduleAllReference) is the
 // baseline, and ScheduleAll's lazy engine — over from-scratch and
-// incremental oracles, at Workers ∈ {1,2,4,8}, and (for parallel
-// incremental runs) with per-round delta replay versus clone-and-replay
-// replicas — must produce a byte-identical schedule that
-// Schedule.Validate accepts. If the baseline fails (e.g. the model's
+// incremental oracles, at Workers ∈ {1,2,4,8} — must produce a
+// byte-identical schedule that Schedule.Validate accepts. If the
+// baseline fails (e.g. the model's
 // blocked slots make the instance unschedulable), every path must fail
 // the same way.
 func CheckSolve(ins *sched.Instance, opts sched.Options) error {
@@ -174,21 +173,13 @@ func CheckSolve(ins *sched.Instance, opts sched.Options) error {
 	}
 	for _, plain := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, noDelta := range []bool{false, true} {
-				if noDelta && (plain || workers == 1) {
-					// Delta replay only engages on parallel incremental
-					// runs; elsewhere the knob selects identical code.
-					continue
-				}
-				o := opts
-				o.PlainOracle = plain
-				o.Workers = workers
-				o.NoDeltaReplay = noDelta
-				got, err := sched.ScheduleAll(ins, o)
-				label := fmt.Sprintf("plain=%t workers=%d nodelta=%t", plain, workers, noDelta)
-				if err := sameOutcome(label, ins, base, baseErr, got, err); err != nil {
-					return err
-				}
+			o := opts
+			o.PlainOracle = plain
+			o.Workers = workers
+			got, err := sched.ScheduleAll(ins, o)
+			label := fmt.Sprintf("plain=%t workers=%d", plain, workers)
+			if err := sameOutcome(label, ins, base, baseErr, got, err); err != nil {
+				return err
 			}
 		}
 	}

@@ -23,13 +23,12 @@ type Config struct {
 	Quick bool // smaller sweeps/trials for CI
 	// Workers is the greedy probe parallelism (sched/budget
 	// Options.Workers) threaded into the experiments whose inner loop is
-	// the budgeted greedy (E2, E3, E4, A3) and E6's offline comparator. The
-	// parallel greedy picks the same subsets at any worker count, so
-	// result columns (costs, values, ratios) are identical; A3's
-	// oracle-call and wall-clock columns still vary — batched lazy
-	// revalidation issues a few speculative probes, and timing is
-	// timing. The worker-sweep benchmarks in bench_test.go measure the
-	// wall-clock effect.
+	// the budgeted greedy (E2, E3, E4, A3). The parallel greedy picks the
+	// same subsets at any worker count, so result columns (costs, values,
+	// ratios) are identical; A3's oracle-call and wall-clock columns still
+	// vary — batched lazy revalidation issues a few speculative probes,
+	// and timing is timing. The worker-sweep benchmarks in bench_test.go
+	// measure the wall-clock effect.
 	Workers int
 }
 

@@ -61,7 +61,7 @@ func E6(cfg Config) *stats.Table {
 			} else {
 				f = workload.FacilityLocation(setupRng, 40, 48)
 			}
-			opt := f.Eval(secretary.OfflineGreedyCardinalityWorkers(f, k, cfg.Workers))
+			opt := f.Eval(secretary.OfflineGreedyCardinality(f, k))
 			vals := make([]float64, trials)
 			parTrials(trials, cfg.Seed+int64(k)*31, func(trial int, rng *rand.Rand) {
 				picked := secretary.MonotoneSubmodular(f, rng.Perm(48), k)

@@ -7,47 +7,8 @@ import (
 	"repro/internal/submodular"
 )
 
-// TestSchedulingNoDeltaReplayKnob covers the Options.NoDeltaReplay knob at
-// the scheduling layer: with the knob on, parallel runs fall back to
-// clone-and-replay replicas and must still reproduce the serial schedule
-// exactly. (The default delta-replay path is covered at every worker count
-// by TestSchedulingWorkerCountDeterminism.)
-func TestSchedulingNoDeltaReplayKnob(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)*7919 + 3))
-		ins := randomOracleInstance(rng)
-		total := 0.0
-		for _, j := range ins.Jobs {
-			total += j.Value
-		}
-		z := 0.6 * total
-
-		run := func(opts Options) (map[string]*Schedule, map[string]error) {
-			scheds, errs := map[string]*Schedule{}, map[string]error{}
-			scheds["all"], errs["all"] = ScheduleAll(ins, opts)
-			scheds["prize"], errs["prize"] = PrizeCollecting(ins, z, withEps(opts, 0.1))
-			scheds["prize-exact"], errs["prize-exact"] = PrizeCollectingExact(ins, z, opts)
-			return scheds, errs
-		}
-		refScheds, refErrs := run(Options{})
-		for _, workers := range []int{2, 8} {
-			gotScheds, gotErrs := run(Options{Workers: workers, NoDeltaReplay: true})
-			for algo := range refScheds {
-				if (refErrs[algo] == nil) != (gotErrs[algo] == nil) {
-					t.Fatalf("trial %d %s workers=%d: feasibility disagreement: %v vs %v",
-						trial, algo, workers, refErrs[algo], gotErrs[algo])
-				}
-				if refErrs[algo] != nil {
-					continue
-				}
-				sameSchedule(t, algo, refScheds[algo], gotScheds[algo])
-			}
-		}
-	}
-}
-
-// TestMatcherOracleDeltaReplay drives the matcher oracles' DeltaOracle
-// surface directly: a replica synced purely by journal deltas must hold a
+// TestMatcherOracleDeltaReplay drives the matcher oracles' delta surface
+// directly: a replica synced purely by journal deltas must hold a
 // bit-identical matching (value and gains) to the committing oracle, and
 // stale or foreign deltas must be rejected.
 func TestMatcherOracleDeltaReplay(t *testing.T) {
@@ -65,13 +26,13 @@ func TestMatcherOracleDeltaReplay(t *testing.T) {
 		if len(cands) == 0 {
 			continue
 		}
-		oracles := map[string]func() deltaReplayOracle{
-			"match":    func() deltaReplayOracle { return matchFn{m}.NewIncremental().(*matchOracle) },
-			"weighted": func() deltaReplayOracle { return weightedMatchFn{m}.NewIncremental().(*weightedOracle) },
+		oracles := map[string]func() submodular.Incremental{
+			"match":    matchFn{m}.NewIncremental,
+			"weighted": weightedMatchFn{m}.NewIncremental,
 		}
 		for name, mk := range oracles {
 			primary := mk()
-			replica := primary.Clone().(deltaReplayOracle)
+			replica := primary.Replica()
 			for round := 0; round < 6 && round < len(cands); round++ {
 				items := cands[rng.Intn(len(cands))].items
 				d, gain := primary.CommitDelta(items)
@@ -106,12 +67,6 @@ func TestMatcherOracleDeltaReplay(t *testing.T) {
 			}
 		}
 	}
-}
-
-// deltaReplayOracle is the combined surface the replay test drives.
-type deltaReplayOracle interface {
-	submodular.Incremental
-	submodular.DeltaOracle
 }
 
 // TestCandidateRepricingAllocs pins the steady-state allocation cost of

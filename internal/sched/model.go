@@ -286,13 +286,13 @@ func (f matchFn) NewIncremental() submodular.Incremental {
 	return &matchOracle{fn: f, mat: bipartite.NewMatcher(f.m.G)}
 }
 
-// matchOracle adapts bipartite.Matcher to submodular.Incremental and
-// submodular.DeltaOracle. The delta for one committed batch is the
-// matcher's forward journal — the (x, y) assignments its augmenting
-// searches performed — so a replica reproduces the exact matching by
-// replaying writes instead of re-running the searches. Matchers cannot be
-// copy-on-write (probes mutate the match arrays before rolling back), so
-// there is no Replica method; replicas are deep clones synced by journal.
+// matchOracle adapts bipartite.Matcher to submodular.Incremental. The
+// delta for one committed batch is the matcher's forward journal — the
+// (x, y) assignments its augmenting searches performed — so a replica
+// reproduces the exact matching by replaying writes instead of re-running
+// the searches. Matchers cannot be copy-on-write (probes mutate the match
+// arrays before rolling back), so replicas are deep copies synced by
+// journal.
 type matchOracle struct {
 	fn    matchFn
 	mat   *bipartite.Matcher
@@ -335,10 +335,10 @@ func (o *matchOracle) Commit(items []int) float64 {
 	return float64(o.mat.EnableSet(items))
 }
 
-// Epoch implements submodular.DeltaOracle.
+// Epoch implements submodular.Incremental.
 func (o *matchOracle) Epoch() uint64 { return o.epoch }
 
-// CommitDelta implements submodular.DeltaOracle.
+// CommitDelta implements submodular.Incremental.
 func (o *matchOracle) CommitDelta(items []int) (submodular.Delta, float64) {
 	if o.delta == nil {
 		o.delta = &matchDelta{}
@@ -353,7 +353,7 @@ func (o *matchOracle) CommitDelta(items []int) (submodular.Delta, float64) {
 	return d, float64(gain)
 }
 
-// ApplyDelta implements submodular.DeltaOracle.
+// ApplyDelta implements submodular.Incremental.
 func (o *matchOracle) ApplyDelta(d submodular.Delta) error {
 	md, ok := d.(*matchDelta)
 	if !ok {
@@ -377,13 +377,11 @@ func (o *matchOracle) Reset() {
 	o.epoch = 0
 }
 
-// Clone implements submodular.Incremental: an independent matcher replica
-// over the shared graph, for the parallel greedy's per-worker shards. The
-// reusable delta buffer stays with the original —
-//
-//	a clone's CommitDelta must not invalidate a delta the original
-//	handed out.
-func (o *matchOracle) Clone() submodular.Incremental {
+// Replica implements submodular.Incremental: a deep matcher copy over the
+// shared graph, for the parallel greedy's per-worker shards. The reusable
+// delta buffer stays with the original, so a replica's CommitDelta cannot
+// invalidate a delta the original handed out.
+func (o *matchOracle) Replica() submodular.Incremental {
 	return &matchOracle{fn: o.fn, mat: o.mat.Clone(), epoch: o.epoch}
 }
 
@@ -407,9 +405,9 @@ func (f weightedMatchFn) NewIncremental() submodular.Incremental {
 	return &weightedOracle{fn: f, mat: bipartite.NewWeightedMatcher(f.m.G, f.m.Values, f.m.Order)}
 }
 
-// weightedOracle adapts bipartite.WeightedMatcher to submodular.Incremental
-// and submodular.DeltaOracle, with the same journal-replay delta scheme as
-// matchOracle (see there for the ownership and no-COW rationale).
+// weightedOracle adapts bipartite.WeightedMatcher to submodular.Incremental,
+// with the same journal-replay delta scheme as matchOracle (see there for
+// the ownership and no-COW rationale).
 type weightedOracle struct {
 	fn    weightedMatchFn
 	mat   *bipartite.WeightedMatcher
@@ -450,10 +448,10 @@ func (o *weightedOracle) Commit(items []int) float64 {
 	return o.mat.EnableSet(items)
 }
 
-// Epoch implements submodular.DeltaOracle.
+// Epoch implements submodular.Incremental.
 func (o *weightedOracle) Epoch() uint64 { return o.epoch }
 
-// CommitDelta implements submodular.DeltaOracle.
+// CommitDelta implements submodular.Incremental.
 func (o *weightedOracle) CommitDelta(items []int) (submodular.Delta, float64) {
 	if o.delta == nil {
 		o.delta = &weightedDelta{}
@@ -468,7 +466,7 @@ func (o *weightedOracle) CommitDelta(items []int) (submodular.Delta, float64) {
 	return d, gain
 }
 
-// ApplyDelta implements submodular.DeltaOracle.
+// ApplyDelta implements submodular.Incremental.
 func (o *weightedOracle) ApplyDelta(d submodular.Delta) error {
 	wd, ok := d.(*weightedDelta)
 	if !ok {
@@ -492,8 +490,9 @@ func (o *weightedOracle) Reset() {
 	o.epoch = 0
 }
 
-// Clone implements submodular.Incremental.
-func (o *weightedOracle) Clone() submodular.Incremental {
+// Replica implements submodular.Incremental: a deep matcher copy, as for
+// matchOracle.
+func (o *weightedOracle) Replica() submodular.Incremental {
 	return &weightedOracle{fn: o.fn, mat: o.mat.Clone(), epoch: o.epoch}
 }
 
@@ -503,8 +502,8 @@ var (
 	_ submodular.Function            = weightedMatchFn{}
 	_ submodular.IncrementalProvider = matchFn{}
 	_ submodular.IncrementalProvider = weightedMatchFn{}
-	_ submodular.DeltaOracle         = (*matchOracle)(nil)
-	_ submodular.DeltaOracle         = (*weightedOracle)(nil)
+	_ submodular.Incremental         = (*matchOracle)(nil)
+	_ submodular.Incremental         = (*weightedOracle)(nil)
 )
 
 // MatchingUtility returns Lemma 2.2.2's F for external property tests.

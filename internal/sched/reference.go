@@ -5,8 +5,7 @@ package sched
 // (budget.Greedy) instead of the lazy engine every production path runs.
 // They are the differential baseline of the conformance suite and of
 // core.SolveAll: production schedules must be SameAs theirs.
-// Options.PlainOracle selects the oracle as usual; Workers and
-// NoDeltaReplay are ignored.
+// Options.PlainOracle selects the oracle as usual; Workers is ignored.
 
 // ScheduleAllReference is ScheduleAll through the eager serial greedy.
 func ScheduleAllReference(ins *Instance, opts Options) (*Schedule, error) {

@@ -115,28 +115,22 @@ func (p CandidatePolicy) String() string {
 
 // Options tune the scheduling algorithms. Every exact solve runs one
 // engine, the lazy budgeted greedy (budget.LazyGreedy / budget.Stepwise);
-// Workers, PlainOracle and NoDeltaReplay change how it probes, not what
-// it picks (save exact float ties on the weighted utility, where
-// PlainOracle's sums may round differently; see package budget).
+// Workers and PlainOracle change how it probes, not what it picks (save
+// exact float ties on the weighted utility, where PlainOracle's sums may
+// round differently; see package budget).
 type Options struct {
 	Policy CandidatePolicy
 	Eps    float64 // bicriteria slack for the prize modes; ScheduleAll always uses 1/(n+1)
 	// Workers is the number of concurrent candidate-probe goroutines
-	// inside the greedy. Each worker owns a cloned incremental-matcher
-	// replica, so multicore and the incremental fast path compose; the
-	// computed schedule is identical for every worker count (only latency
-	// changes). 0 and 1 both mean serial.
+	// inside the greedy. Each worker owns an incremental-matcher replica,
+	// kept in step by per-pick deltas, so multicore and the incremental
+	// fast path compose; the computed schedule is identical for every
+	// worker count (only latency changes). 0 and 1 both mean serial.
 	Workers int
 	// PlainOracle forces from-scratch matching oracles (a fresh
 	// Hopcroft–Karp / weighted rebuild per probe) instead of the default
 	// incremental matchers — the ablation A3 baseline.
 	PlainOracle bool
-	// NoDeltaReplay disables the greedy's per-round delta replay across
-	// worker replicas (budget.Options.NoDeltaReplay): replicas fall back
-	// to replaying every pick's Commit themselves. The computed schedule
-	// is identical either way; the knob exists for the conformance matrix
-	// and ablations.
-	NoDeltaReplay bool
 	// Extra adds caller-supplied candidate awake intervals on top of the
 	// policy's enumeration — the thesis's "costs might be explicitly given
 	// in the input" mode, e.g. contract blocks a power provider offers.

@@ -88,7 +88,7 @@ func (m *Model) scheduleAllInput(opts Options) (*solveInput, error) {
 
 // greedyOptions maps the options onto the greedy's at slack eps.
 func (o Options) greedyOptions(eps float64) budget.Options {
-	return budget.Options{Eps: eps, Workers: o.Workers, PlainEval: o.PlainOracle, NoDeltaReplay: o.NoDeltaReplay}
+	return budget.Options{Eps: eps, Workers: o.Workers, PlainEval: o.PlainOracle}
 }
 
 // greedy runs prob to completion at slack eps: the lazy engine every

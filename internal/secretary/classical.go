@@ -8,6 +8,11 @@
 // the item id arriving at position pos. Decisions are irrevocable — an
 // algorithm may inspect only value-oracle queries over items that have
 // already arrived, mirroring §3.2.1's oracle convention.
+//
+// The offline comparators the experiments divide by (offline.go) are
+// serial greedy runs: OfflineGreedyCardinality and OfflineGreedyMatroid
+// probe through the incremental oracle when the function offers one and
+// fall back to plain Eval otherwise.
 package secretary
 
 import "math"

@@ -1,9 +1,6 @@
 package secretary
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/bitset"
 	"repro/internal/matroid"
 	"repro/internal/submodular"
@@ -17,156 +14,6 @@ import (
 // max f(S) s.t. |S| ≤ k (monotone f).
 func OfflineGreedyCardinality(f submodular.Function, k int) *bitset.Set {
 	return offlineGreedy(f, k, unconstrained)
-}
-
-// OfflineOptions tunes the parallel offline greedy comparator.
-type OfflineOptions struct {
-	// Workers shards each round's marginal scan across that many
-	// goroutines. 0 and 1 both mean the serial greedy.
-	Workers int
-	// NoDeltaReplay is the ablation baseline: replicas are deep clones
-	// that re-Commit every pick themselves instead of applying the
-	// primary's per-round delta. Production callers leave it unset.
-	NoDeltaReplay bool
-}
-
-// OfflineGreedyCardinalityWorkers is OfflineGreedyCardinality with the
-// given scan parallelism and delta replay on (the production
-// configuration). See OfflineGreedyCardinalityOpts.
-func OfflineGreedyCardinalityWorkers(f submodular.Function, k, workers int) *bitset.Set {
-	return OfflineGreedyCardinalityOpts(f, k, OfflineOptions{Workers: workers})
-}
-
-// OfflineGreedyCardinalityOpts is OfflineGreedyCardinality with each
-// round's marginal scan sharded across opts.Workers goroutines — the
-// singleton-probe twin of budget's workspace/scanBest scheme; a fix to
-// the replay or tie-break logic there likely applies here too. The
-// primary oracle commits each pick once (CommitDelta) and ships the
-// resulting delta to the other replicas (ApplyDelta, an epoch-check
-// no-op for copy-on-write views) instead of every replica re-deriving
-// the commit itself; on a single schedulable CPU the replica slots alias
-// the primary outright and the shards scan inline. The deep-clone
-// re-Commit scheme survives only behind opts.NoDeltaReplay (ablation)
-// and for oracles without a delta surface.
-//
-// Picks are identical at any worker count and in both replay modes:
-// replicas hold bit-identical state and ties resolve to the lowest item
-// (in-order strict-> reduction over contiguous shards). Falls back to
-// the serial greedy when f offers no incremental oracle or workers ≤ 1.
-func OfflineGreedyCardinalityOpts(f submodular.Function, k int, opts OfflineOptions) *bitset.Set {
-	workers := opts.Workers
-	if workers > f.Universe() {
-		workers = f.Universe()
-	}
-	if workers <= 1 {
-		return OfflineGreedyCardinality(f, k)
-	}
-	inc, ok := submodular.AsIncremental(f)
-	if !ok {
-		return OfflineGreedyCardinality(f, k)
-	}
-	n := inc.Universe()
-	primaryDelta, hasDelta := submodular.AsDeltaOracle(inc)
-	useDelta := hasDelta && !opts.NoDeltaReplay
-	// Aliased slots must never probe concurrently, and GOMAXPROCS can
-	// change mid-run, so the inline decision is made once up front.
-	inline := useDelta && runtime.GOMAXPROCS(0) == 1
-	replicas := make([]submodular.Incremental, workers)
-	replicas[0] = inc
-	var wdelta []submodular.DeltaOracle
-	if useDelta {
-		wdelta = make([]submodular.DeltaOracle, workers)
-		wdelta[0] = primaryDelta
-	}
-	for w := 1; w < workers; w++ {
-		switch {
-		case inline:
-			replicas[w] = inc
-			wdelta[w] = primaryDelta
-		case useDelta:
-			replicas[w] = submodular.NewProbeReplica(inc)
-			d, ok := submodular.AsDeltaOracle(replicas[w])
-			if !ok {
-				panic("secretary: probe replica lost the delta surface")
-			}
-			wdelta[w] = d
-		default:
-			replicas[w] = inc.Clone()
-		}
-	}
-	sel := bitset.New(n)
-	type cand struct {
-		item int
-		gain float64
-	}
-	best := make([]cand, workers)
-	chunk := (n + workers - 1) / workers
-	pending := -1 // last pick in replay mode, re-Committed per replica at the next scan
-	var pendingDelta submodular.Delta
-	scan := func(w int) {
-		probe := [1]int{}
-		switch {
-		case pendingDelta != nil && w > 0:
-			if err := wdelta[w].ApplyDelta(pendingDelta); err != nil {
-				panic("secretary: replica rejected same-lineage delta: " + err.Error())
-			}
-		case pendingDelta == nil && pending >= 0:
-			probe[0] = pending
-			replicas[w].Commit(probe[:])
-		}
-		local := cand{item: -1}
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		for item := lo; item < hi; item++ {
-			if sel.Contains(item) {
-				continue
-			}
-			probe[0] = item
-			if g := replicas[w].Gain(probe[:]); g > local.gain {
-				local = cand{item: item, gain: g}
-			}
-		}
-		best[w] = local
-	}
-	for picks := 0; picks < k; picks++ {
-		if inline || runtime.GOMAXPROCS(0) == 1 {
-			for w := 0; w < workers; w++ {
-				scan(w)
-			}
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(workers - 1)
-			for w := 1; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					scan(w)
-				}(w)
-			}
-			scan(0)
-			wg.Wait()
-		}
-		pick := cand{item: -1}
-		for _, c := range best {
-			if c.item != -1 && c.gain > pick.gain {
-				pick = c
-			}
-		}
-		if pick.item == -1 {
-			break
-		}
-		sel.Add(pick.item)
-		if useDelta {
-			// The primary commits here, on the coordinating goroutine
-			// between scan phases — before the workers launch, so the
-			// commit happens-before every ApplyDelta.
-			pendingDelta, _ = primaryDelta.CommitDelta([]int{pick.item})
-		} else {
-			pending = pick.item
-		}
-	}
-	return sel
 }
 
 // OfflineGreedyMatroid greedily maximizes f subject to independence in all

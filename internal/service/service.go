@@ -84,7 +84,8 @@ type Config struct {
 	// unset. 0 keeps such requests serial — with a saturated pool,
 	// request-level parallelism is usually the better use of the cores;
 	// raise it to trade throughput for per-request latency. Worker counts
-	// never change the computed schedule.
+	// never change the computed schedule. Every request's parallelism,
+	// this default included, is clamped to GOMAXPROCS (probeWorkers).
 	ProbeWorkers int
 	// MaxSessions bounds the live solver sessions (default 1024;
 	// negative disables sessions entirely). Each session holds a full
@@ -137,6 +138,17 @@ const (
 	FsyncAlways = "always"
 	FsyncNever  = "never"
 )
+
+// probeWorkers resolves one request's greedy parallelism: the
+// ProbeWorkers default when the request leaves Workers unset, clamped to
+// GOMAXPROCS — each worker owns an oracle replica, and workers beyond the
+// schedulable CPUs cannot run concurrently anyway.
+func (c Config) probeWorkers(requested int) int {
+	if requested == 0 {
+		requested = c.ProbeWorkers
+	}
+	return min(requested, runtime.GOMAXPROCS(0))
+}
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -499,9 +511,7 @@ func Solve(req Request) (*sched.Schedule, error) {
 
 // solve runs the request's algorithm, optionally reusing a cached model.
 func (s *Service) solve(models *modelCache, req Request) Result {
-	if req.Opts.Workers == 0 && s.cfg.ProbeWorkers > 0 {
-		req.Opts.Workers = s.cfg.ProbeWorkers
-	}
+	req.Opts.Workers = s.cfg.probeWorkers(req.Opts.Workers)
 	model, reused, err := models.get(req)
 	if err != nil {
 		return Result{Err: err}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/sched"
@@ -422,5 +423,42 @@ func TestSessionSpecsDoNotAlias(t *testing.T) {
 	ref := mutatedSpec(spec, []MutationSpec{{Op: "block", Slot: &SlotSpec{Proc: 0, Time: 0}}})
 	if got := InstanceDigest(ref); got != dA {
 		t.Fatalf("session A digest %s drifted from its own mutation history %s", dA, got)
+	}
+}
+
+// TestProbeWorkersClamped: every probe worker owns an oracle replica, so
+// the ProbeWorkers default and a caller's explicit Workers are both
+// capped at GOMAXPROCS, on the stateless path and for sessions alike.
+func TestProbeWorkersClamped(t *testing.T) {
+	maxW := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		probe, requested, want int
+	}{
+		{0, 0, 0}, {0, 1, 1}, {64, 0, maxW}, {64, 1, 1}, {0, 1000, maxW}, {1, 0, 1},
+	} {
+		if got := (Config{ProbeWorkers: tc.probe}).probeWorkers(tc.requested); got != tc.want {
+			t.Fatalf("ProbeWorkers %d, requested %d: workers = %d, want %d", tc.probe, tc.requested, got, tc.want)
+		}
+	}
+
+	s := New(Config{ProbeWorkers: 64})
+	defer s.Close(context.Background())
+	id, _, err := s.CreateSession(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sessMu.Lock()
+	got := s.sessions[id].opts.Workers
+	s.sessMu.Unlock()
+	if got != maxW {
+		t.Fatalf("session created under ProbeWorkers 64: Workers = %d, want GOMAXPROCS = %d", got, maxW)
+	}
+	req, err := BuildRequest(sessionSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Opts.Workers = 1000 // a programmatic request, past BuildRequest's clamp
+	if _, err := s.Submit(context.Background(), req); err != nil {
+		t.Fatalf("solve with Workers 1000: %v", err)
 	}
 }

@@ -3,11 +3,11 @@ package submodular
 import "fmt"
 
 // Delta is an opaque, oracle-specific description of one committed batch
-// of picks: everything a same-lineage replica needs to reproduce the
-// primary's state change without re-deriving it (no re-augmentation, no
-// coverage recount). Deltas carry the epoch they advance their oracle to,
-// so stale or cross-lineage application is caught instead of silently
-// corrupting a replica.
+// of picks: everything a replica of the committing oracle's lineage needs
+// to reach the primary's state without re-deriving it (no
+// re-augmentation, no recount). Deltas carry the epoch they advance their
+// oracle to, so stale or cross-lineage application is caught instead of
+// silently corrupting a replica.
 //
 // Ownership: a Delta returned by CommitDelta remains valid until the next
 // CommitDelta on the same oracle — implementations reuse one buffer per
@@ -21,85 +21,15 @@ type Delta interface {
 	DeltaEpoch() uint64
 }
 
-// DeltaOracle extends Incremental with batched delta replay: the parallel
-// greedy commits a round's picks once on the primary (CommitDelta) and
-// ships the resulting Delta to every replica (ApplyDelta) instead of
-// having each replica replay the full Commit. ApplyDelta must leave the
-// replica bit-identical to a replica that replayed Commit itself — the
-// worker-count-invariance of pick sequences depends on it.
-//
-// Epochs count committed batches. Commit, CommitDelta, and a successful
-// ApplyDelta each advance the epoch by one; Reset returns it to zero.
-// Copy-on-write replicas (see ReplicaProvider) share the primary's state
-// behind the epoch pointer, so for them ApplyDelta degenerates to an
-// epoch check: the primary's CommitDelta already advanced the shared
-// state.
-type DeltaOracle interface {
-	Incremental
-
-	// Epoch returns the number of committed batches so far.
-	Epoch() uint64
-	// CommitDelta commits items exactly like Commit and returns the
-	// realized gain plus a Delta replicas can apply. The Delta is
-	// invalidated by the next CommitDelta on this oracle.
-	CommitDelta(items []int) (Delta, float64)
-	// ApplyDelta applies a delta produced by a same-lineage oracle. A
-	// delta at the oracle's current epoch is a no-op (shared-state
-	// replicas observe the primary's commit through the epoch pointer);
-	// a delta at epoch+1 is applied; anything else is an error.
-	ApplyDelta(Delta) error
-}
-
-// ReplicaProvider is implemented by oracles whose committed state can be
-// shared copy-on-write across probe replicas: Replica returns a view
-// sharing the committed base behind an epoch-guarded pointer, with
-// private probe scratch. Replicas may probe concurrently with each other
-// but not with a commit on any oracle of the lineage; the budgeted
-// greedy's phase structure guarantees exactly that (commits happen on the
-// coordinating goroutine between probe phases).
-//
-// Implementations must also implement DeltaOracle — synchronization of
-// shared-state replicas goes through ApplyDelta's epoch check, never
-// through a second Commit (which would double-apply on the shared state).
-// The deltashare analyzer enforces this pairing.
-type ReplicaProvider interface {
-	Replica() Incremental
-}
-
-// AsDeltaOracle returns the delta-replay surface beneath inc, unwrapping
-// counting wrappers (Commit and delta application are free, mirroring
-// Commit's accounting), or (nil, false) when the oracle has none.
-func AsDeltaOracle(inc Incremental) (DeltaOracle, bool) {
-	if w, ok := inc.(*countingIncremental); ok {
-		return AsDeltaOracle(w.inc)
-	}
-	d, ok := inc.(DeltaOracle)
-	return d, ok
-}
-
-// NewProbeReplica returns a replica of inc for a concurrent probe shard:
-// the copy-on-write view when the oracle provides one, a deep Clone
-// otherwise. Counting wrappers keep billing the shared counter.
-func NewProbeReplica(inc Incremental) Incremental {
-	if w, ok := inc.(*countingIncremental); ok {
-		return &countingIncremental{inc: NewProbeReplica(w.inc), c: w.c}
-	}
-	if rp, ok := inc.(ReplicaProvider); ok {
-		return rp.Replica()
-	}
-	return inc.Clone()
-}
-
-// errWrongDelta reports a delta of a foreign oracle type, i.e. a
-// cross-lineage ApplyDelta.
+// errWrongDelta reports a delta of a foreign oracle type or lineage.
 func errWrongDelta(oracle string, d Delta) error {
 	return fmt.Errorf("submodular: %s cannot apply foreign delta %T", oracle, d)
 }
 
-// epochCheck implements the shared ApplyDelta epoch protocol: it reports
-// whether the delta still needs applying (false means the shared-state
-// primary already advanced this epoch) and errors on anything but the
-// current or next epoch.
+// epochCheck implements ApplyDelta's epoch protocol for the deep-copy
+// oracles: it reports whether the delta still needs applying (false means
+// the replica is the committing oracle itself, or already applied it) and
+// errors on anything but the current or next epoch.
 func epochCheck(oracle string, have, delta uint64) (apply bool, err error) {
 	switch delta {
 	case have:

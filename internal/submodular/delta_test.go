@@ -5,44 +5,44 @@ import (
 	"testing"
 )
 
-// deltaOracleOf builds the incremental oracle for tc and asserts it
-// exposes the delta-replay surface.
-func deltaOracleOf(t *testing.T, tc incrementalCase) DeltaOracle {
+// oracleOf builds a fresh incremental oracle (its own lineage) for tc.
+func oracleOf(t *testing.T, tc incrementalCase) Incremental {
 	t.Helper()
 	inc, ok := AsIncremental(tc.f)
 	if !ok {
 		t.Fatalf("%s: no incremental oracle", tc.name)
 	}
-	d, ok := AsDeltaOracle(inc)
-	if !ok {
-		t.Fatalf("%s: no delta oracle", tc.name)
+	return inc
+}
+
+// copyOnWrite reports whether inc's replicas share its committed state.
+func copyOnWrite(inc Incremental) bool {
+	switch inc.(type) {
+	case *IncCoverage, *IncFacilityLocation:
+		return true
 	}
-	return d
+	return false
 }
 
 // TestDeltaReplayMatchesCommit is the determinism backbone of per-round
-// delta replay: a deep-clone replica that applies the primary's deltas
-// must be bit-identical (exact float equality, not epsilon) to the
-// primary after every batch — the same guarantee Commit replay gave the
-// parallel greedy.
+// delta replay: a replica that applies the primary's deltas must be
+// bit-identical (exact float equality, not epsilon) to the primary after
+// every batch.
 func TestDeltaReplayMatchesCommit(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*31337 + 7))
 		for _, tc := range randomCases(rng) {
-			primary := deltaOracleOf(t, tc)
-			replica, ok := primary.Clone().(DeltaOracle)
-			if !ok {
-				t.Fatalf("%s: Clone dropped the delta surface", tc.name)
-			}
+			primary := oracleOf(t, tc)
+			replica := primary.Replica()
 			n := tc.f.Universe()
 			for step := 0; step < 8; step++ {
 				items := randomItems(rng, n)
+				wantGain := replica.Gain(items)
 				d, gain := primary.CommitDelta(items)
 				if d.DeltaEpoch() != primary.Epoch() {
 					t.Fatalf("%s trial %d step %d: delta epoch %d, primary epoch %d",
 						tc.name, trial, step, d.DeltaEpoch(), primary.Epoch())
 				}
-				wantGain := replica.Gain(items)
 				if gain != wantGain {
 					t.Fatalf("%s trial %d step %d: CommitDelta gain %g != replica probe %g",
 						tc.name, trial, step, gain, wantGain)
@@ -71,14 +71,14 @@ func TestDeltaReplayMatchesCommit(t *testing.T) {
 }
 
 // TestDeltaEquivalentToCommit checks that CommitDelta commits exactly
-// like Commit: a sibling clone that uses plain Commit on the same batches
-// tracks the CommitDelta primary bit-for-bit.
+// like Commit: a second lineage that uses plain Commit on the same
+// batches tracks the CommitDelta primary bit-for-bit.
 func TestDeltaEquivalentToCommit(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*7919 + 3))
 		for _, tc := range randomCases(rng) {
-			primary := deltaOracleOf(t, tc)
-			committer := primary.Clone()
+			primary := oracleOf(t, tc)
+			committer := oracleOf(t, tc)
 			n := tc.f.Universe()
 			for step := 0; step < 8; step++ {
 				items := randomItems(rng, n)
@@ -88,7 +88,8 @@ func TestDeltaEquivalentToCommit(t *testing.T) {
 					t.Fatalf("%s trial %d step %d: CommitDelta gain %v != Commit gain %v",
 						tc.name, trial, step, dg, cg)
 				}
-				if primary.Value() != committer.Value() || !primary.Base().Equal(committer.Base()) {
+				if primary.Value() != committer.Value() || !primary.Base().Equal(committer.Base()) ||
+					primary.Epoch() != committer.Epoch() {
 					t.Fatalf("%s trial %d step %d: CommitDelta state diverged from Commit", tc.name, trial, step)
 				}
 			}
@@ -97,22 +98,17 @@ func TestDeltaEquivalentToCommit(t *testing.T) {
 }
 
 // TestCOWReplicaSharesCommittedState checks the copy-on-write contract:
-// a Replica() view observes the primary's commits through the shared
-// epoch pointer, and ApplyDelta on it degenerates to an epoch-check
-// no-op instead of double-applying.
+// a Replica() view of coverage or facility location observes the
+// primary's commits through the shared state, and ApplyDelta on it is an
+// epoch check instead of a double apply.
 func TestCOWReplicaSharesCommittedState(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range randomCases(rng) {
-		inc, _ := AsIncremental(tc.f)
-		rp, ok := inc.(ReplicaProvider)
-		if !ok {
-			continue // only the large-state oracles are copy-on-write
+		primary := oracleOf(t, tc)
+		if !copyOnWrite(primary) {
+			continue // the additive oracles' replicas are deep copies
 		}
-		primary, _ := AsDeltaOracle(inc)
-		replica, ok := rp.Replica().(DeltaOracle)
-		if !ok {
-			t.Fatalf("%s: Replica dropped the delta surface", tc.name)
-		}
+		replica := primary.Replica()
 		n := tc.f.Universe()
 		for step := 0; step < 6; step++ {
 			items := randomItems(rng, n)
@@ -136,46 +132,16 @@ func TestCOWReplicaSharesCommittedState(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaEpochErrors checks that the epoch protocol rejects skipped
-// and foreign deltas instead of silently corrupting a replica.
-func TestApplyDeltaEpochErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, tc := range randomCases(rng) {
-		primary := deltaOracleOf(t, tc)
-		replica := primary.Clone().(DeltaOracle)
-		n := tc.f.Universe()
-
-		// Two commits on the primary without syncing: the second delta is
-		// two epochs ahead of the replica.
-		primary.CommitDelta(randomItems(rng, n))
-		d2, _ := primary.CommitDelta(randomItems(rng, n))
-		if err := replica.ApplyDelta(d2); err == nil {
-			t.Fatalf("%s: skipped-epoch delta applied without error", tc.name)
-		}
-		if replica.Epoch() != 0 {
-			t.Fatalf("%s: failed ApplyDelta moved the epoch", tc.name)
-		}
-
-		// A delta from a different oracle type must be rejected.
-		var foreign Delta = fakeDelta{epoch: replica.Epoch() + 1}
-		if err := replica.ApplyDelta(foreign); err == nil {
-			t.Fatalf("%s: foreign delta type applied without error", tc.name)
-		}
-	}
-}
-
-type fakeDelta struct{ epoch uint64 }
-
-func (d fakeDelta) DeltaEpoch() uint64 { return d.epoch }
-
-// TestNewProbeReplica checks replica selection: copy-on-write views for
-// oracles that provide them, deep clones otherwise, and counting wrappers
-// that keep billing the shared counter.
+// TestNewProbeReplica checks replica selection, which the removed
+// NewProbeReplica helper used to make and Replica now makes directly:
+// copy-on-write views for coverage and facility location (shared
+// committed state, private probe scratch), deep copies otherwise, and
+// counting wrappers that keep billing the shared counter.
 func TestNewProbeReplica(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, tc := range randomCases(rng) {
-		inc, _ := AsIncremental(tc.f)
-		replica := NewProbeReplica(inc)
+		inc := oracleOf(t, tc)
+		replica := inc.Replica()
 		if !replica.Base().Equal(inc.Base()) || replica.Value() != inc.Value() {
 			t.Fatalf("%s: probe replica does not match primary", tc.name)
 		}
@@ -192,19 +158,19 @@ func TestNewProbeReplica(t *testing.T) {
 				t.Fatalf("%s: expected copy-on-write shared state", tc.name)
 			}
 		default:
-			// Deep clone: commits to the replica must not move the primary.
+			// Deep copy: commits to the replica must not move the primary.
 			before := inc.Value()
 			replica.Commit(randomItems(rng, tc.f.Universe()))
 			if inc.Value() != before {
-				t.Fatalf("%s: deep-clone replica shares state with primary", tc.name)
+				t.Fatalf("%s: deep-copy replica shares state with primary", tc.name)
 			}
 		}
 	}
 
-	// Counting wrappers unwrap and keep charging the shared counter.
+	// Counting wrappers keep their wrapper and charge the shared counter.
 	counting := NewCounting(randomCases(rng)[0].f)
 	inc, _ := AsIncremental(counting)
-	replica := NewProbeReplica(inc)
+	replica := inc.Replica()
 	if _, ok := replica.(*countingIncremental); !ok {
 		t.Fatalf("probe replica of counting oracle lost its counting wrapper")
 	}
@@ -213,10 +179,52 @@ func TestNewProbeReplica(t *testing.T) {
 	if counting.Calls() != before+1 {
 		t.Fatalf("probe replica does not bill the shared counter")
 	}
-	if _, ok := AsDeltaOracle(inc); !ok {
-		t.Fatalf("AsDeltaOracle failed to unwrap the counting wrapper")
+}
+
+// TestApplyDeltaEpochErrors checks that the epoch protocol rejects
+// skipped, stale and foreign deltas, leaving the receiving oracle as it
+// was, instead of silently corrupting a replica.
+func TestApplyDeltaEpochErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range randomCases(rng) {
+		primary := oracleOf(t, tc)
+		other := oracleOf(t, tc) // a second lineage over the same function
+		n := tc.f.Universe()
+
+		// Two commits on the primary: its second delta skips an epoch the
+		// other lineage never saw (and is foreign to it besides).
+		primary.CommitDelta(randomItems(rng, n))
+		d2, _ := primary.CommitDelta(randomItems(rng, n))
+		if err := other.ApplyDelta(d2); err == nil {
+			t.Fatalf("%s: skipped-epoch delta applied without error", tc.name)
+		}
+		if other.Epoch() != 0 || other.Value() != 0 {
+			t.Fatalf("%s: failed ApplyDelta moved the oracle", tc.name)
+		}
+
+		// A delta behind the replica's epoch is stale.
+		replica := primary.Replica()
+		stale, _ := other.CommitDelta(randomItems(rng, n))
+		before := replica.Value()
+		if err := replica.ApplyDelta(stale); err == nil {
+			t.Fatalf("%s: stale delta (epoch %d at epoch %d) applied without error",
+				tc.name, stale.DeltaEpoch(), replica.Epoch())
+		}
+		if replica.Epoch() != primary.Epoch() || replica.Value() != before {
+			t.Fatalf("%s: failed ApplyDelta moved the replica", tc.name)
+		}
+
+		// A delta from a different oracle type must be rejected.
+		var foreign Delta = fakeDelta{epoch: replica.Epoch() + 1}
+		if err := replica.ApplyDelta(foreign); err == nil {
+			t.Fatalf("%s: foreign delta type applied without error", tc.name)
+		}
 	}
 }
+
+type fakeDelta struct{ epoch uint64 }
+
+func (d fakeDelta) DeltaEpoch() uint64 { return d.epoch }
 
 // TestDeltaPathAllocFree pins the per-round hot path: once the reusable
 // delta buffer exists, CommitDelta on the primary and ApplyDelta on a
@@ -224,8 +232,8 @@ func TestNewProbeReplica(t *testing.T) {
 func TestDeltaPathAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, tc := range randomCases(rng) {
-		primary := deltaOracleOf(t, tc)
-		replica := primary.Clone().(DeltaOracle)
+		primary := oracleOf(t, tc)
+		replica := primary.Replica()
 		n := tc.f.Universe()
 
 		// Warm the delta buffer with a first, larger batch.
@@ -258,8 +266,8 @@ func TestDeltaPathAllocFree(t *testing.T) {
 func TestDeltaDoesNotAliasProbeScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, tc := range randomCases(rng) {
-		primary := deltaOracleOf(t, tc)
-		replica := primary.Clone().(DeltaOracle)
+		primary := oracleOf(t, tc)
+		replica := primary.Replica()
 		n := tc.f.Universe()
 
 		items := randomItems(rng, n)
@@ -284,7 +292,7 @@ func TestDeltaDoesNotAliasProbeScratch(t *testing.T) {
 func TestResetZeroesEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range randomCases(rng) {
-		primary := deltaOracleOf(t, tc)
+		primary := oracleOf(t, tc)
 		primary.CommitDelta(randomItems(rng, tc.f.Universe()))
 		if primary.Epoch() == 0 {
 			t.Fatalf("%s: CommitDelta did not advance the epoch", tc.name)
@@ -299,15 +307,19 @@ func TestResetZeroesEpoch(t *testing.T) {
 	}
 }
 
-// TestCloneDoesNotShareDeltaBuffer checks that clones leave the reusable
-// delta buffer behind: a clone's CommitDelta must not invalidate a delta
-// the original handed out.
-func TestCloneDoesNotShareDeltaBuffer(t *testing.T) {
+// TestReplicaDoesNotShareDeltaBuffer checks that deep-copy replicas leave
+// the reusable delta buffer behind: a replica's CommitDelta must not
+// invalidate a delta the original handed out. (Copy-on-write replicas
+// commit to the shared lineage by design, so they are not checked.)
+func TestReplicaDoesNotShareDeltaBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, tc := range randomCases(rng) {
-		primary := deltaOracleOf(t, tc)
-		sibling := primary.Clone().(DeltaOracle)
-		replica := primary.Clone().(DeltaOracle)
+		primary := oracleOf(t, tc)
+		if copyOnWrite(primary) {
+			continue
+		}
+		sibling := primary.Replica()
+		replica := primary.Replica()
 		n := tc.f.Universe()
 
 		items := randomItems(rng, n)
@@ -319,7 +331,7 @@ func TestCloneDoesNotShareDeltaBuffer(t *testing.T) {
 			t.Fatalf("%s: ApplyDelta: %v", tc.name, err)
 		}
 		if replica.Value() != primary.Value() || !replica.Base().Equal(primary.Base()) {
-			t.Fatalf("%s: clone shares the delta buffer with its original", tc.name)
+			t.Fatalf("%s: replica shares the delta buffer with its original", tc.name)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package submodular
 
 import (
+	"fmt"
+
 	"repro/internal/bitset"
 )
 
@@ -11,15 +13,23 @@ import (
 // probes by maintaining whatever summary of S makes marginals cheap
 // (coverage counts, per-client bests, matchings). Gain is a snapshot probe
 // in the style of bipartite.Matcher.GainOfSet: it must leave the oracle
-// exactly as it found it; only Commit moves the base set.
+// exactly as it found it; only Commit, CommitDelta and ApplyDelta move the
+// base set.
 //
 // Implementations are not safe for concurrent use: probes share scratch
-// state. Concurrent algorithms instead give each goroutine its own replica
-// (NewProbeReplica) — either a deep Clone that replays the same commits,
-// or a copy-on-write view sharing the committed state behind an epoch
-// pointer (ReplicaProvider). Both stay bit-identical to the primary, so a
-// probe answers the same on any of them (the invariant behind the parallel
-// greedy's determinism).
+// state. Concurrent algorithms instead give each goroutine its own
+// Replica, and there is one way to keep replicas in step: the primary
+// commits with CommitDelta and every replica applies the returned Delta
+// with ApplyDelta. A replica is either a copy-on-write view sharing the
+// committed state (IncCoverage, IncFacilityLocation — ApplyDelta is then
+// an epoch check) or a deep copy (the additive oracles, the matchers —
+// ApplyDelta replays the recorded change). Either way it stays
+// bit-identical to the primary, so a probe answers the same on any of
+// them (the invariant behind the parallel greedy's determinism).
+//
+// Epochs count committed batches. Commit, CommitDelta and a successful
+// ApplyDelta each advance the lineage by one epoch; Reset returns it to
+// zero.
 type Incremental interface {
 	Function
 
@@ -35,10 +45,25 @@ type Incremental interface {
 	// Reset empties the base set (for copy-on-write lineages: the shared
 	// committed state, affecting every replica).
 	Reset()
-	// Clone returns an independent replica with the same committed base
-	// set and value but its own scratch state, sharing only immutable
-	// problem data with the original. Replicas may probe concurrently.
-	Clone() Incremental
+
+	// Epoch returns the number of committed batches so far.
+	Epoch() uint64
+	// CommitDelta commits items exactly like Commit and returns the
+	// realized gain plus a Delta the lineage's replicas apply. The Delta
+	// is invalidated by the next CommitDelta on this oracle.
+	CommitDelta(items []int) (Delta, float64)
+	// ApplyDelta brings a replica up to a delta produced by its primary.
+	// A delta at the oracle's current epoch is a no-op (the committing
+	// oracle itself and copy-on-write views already hold it); a stale,
+	// skipped or foreign delta is an error and leaves the replica
+	// untouched.
+	ApplyDelta(Delta) error
+	// Replica returns a probe replica at the same epoch, with its own
+	// probe scratch and sharing only immutable problem data (and, for
+	// copy-on-write oracles, the committed state). Replicas may probe
+	// concurrently with each other but not with a commit anywhere in the
+	// lineage; they learn of commits only through ApplyDelta.
+	Replica() Incremental
 }
 
 // IncrementalProvider is implemented by stateless Functions that can
@@ -52,8 +77,8 @@ type IncrementalProvider interface {
 // AsIncremental returns a fresh incremental oracle (empty base) for f, or
 // (nil, false) if f offers none. Counting wrappers are unwrapped and the
 // returned oracle keeps counting: each Gain or Eval costs one call, Commit
-// costs none (mirroring the plain greedy, which re-uses the winning
-// probe's value instead of re-evaluating on commit). Only
+// and delta replay cost none (mirroring the plain greedy, which re-uses
+// the winning probe's value instead of re-evaluating on commit). Only
 // IncrementalProvider is honored — a Function that happens to be a live
 // Incremental is not hijacked, so algorithms never mutate caller-owned
 // oracle state.
@@ -82,6 +107,7 @@ func (w *countingIncremental) Universe() int     { return w.inc.Universe() }
 func (w *countingIncremental) Base() *bitset.Set { return w.inc.Base() }
 func (w *countingIncremental) Value() float64    { return w.inc.Value() }
 func (w *countingIncremental) Reset()            { w.inc.Reset() }
+func (w *countingIncremental) Epoch() uint64     { return w.inc.Epoch() }
 
 func (w *countingIncremental) Eval(s *bitset.Set) float64 { return w.c.Eval(s) }
 
@@ -92,18 +118,50 @@ func (w *countingIncremental) Gain(items []int) float64 {
 
 func (w *countingIncremental) Commit(items []int) float64 { return w.inc.Commit(items) }
 
-// Clone implements Incremental. The replica keeps charging the same
+func (w *countingIncremental) CommitDelta(items []int) (Delta, float64) {
+	return w.inc.CommitDelta(items)
+}
+
+func (w *countingIncremental) ApplyDelta(d Delta) error { return w.inc.ApplyDelta(d) }
+
+// Replica implements Incremental. The replica keeps charging the same
 // Counting wrapper, whose counter is atomic, so concurrent replicas bill
 // one shared total.
-func (w *countingIncremental) Clone() Incremental {
-	return &countingIncremental{inc: w.inc.Clone(), c: w.c}
+func (w *countingIncremental) Replica() Incremental {
+	return &countingIncremental{inc: w.inc.Replica(), c: w.c}
+}
+
+// sharedDelta is the Delta of the copy-on-write oracles (IncCoverage,
+// IncFacilityLocation). Their replicas share the committed state, so the
+// primary's commit has already moved every replica: the delta only names
+// the lineage (its shared state, compared by identity) and the epoch the
+// commit reached.
+type sharedDelta[S any] struct {
+	st    *S
+	epoch uint64
+}
+
+// DeltaEpoch implements Delta.
+func (d *sharedDelta[S]) DeltaEpoch() uint64 { return d.epoch }
+
+// applyShared is ApplyDelta for the copy-on-write oracles: a delta of the
+// replica's own lineage at the current epoch is already applied, and
+// anything else is foreign or stale.
+func applyShared[S any](oracle string, st *S, epoch uint64, d Delta) error {
+	sd, ok := d.(*sharedDelta[S])
+	if !ok || sd.st != st {
+		return errWrongDelta(oracle, d)
+	}
+	if sd.epoch != epoch {
+		return fmt.Errorf("submodular: %s delta for epoch %d applied at epoch %d", oracle, sd.epoch, epoch)
+	}
+	return nil
 }
 
 // ---- Coverage ----
 
-// covState is the committed state of an IncCoverage lineage. The primary
-// and its copy-on-write replicas share one covState behind an epoch
-// pointer; deep Clones get their own.
+// covState is the committed state of an IncCoverage lineage, shared by
+// the primary and its copy-on-write replicas.
 type covState struct {
 	base    *bitset.Set // over the item universe
 	covered *bitset.Set // over the ground universe
@@ -111,37 +169,16 @@ type covState struct {
 	epoch   uint64
 }
 
-func (st *covState) clone() *covState {
-	return &covState{
-		base:    st.base.Clone(),
-		covered: st.covered.Clone(),
-		value:   st.value,
-		epoch:   st.epoch,
-	}
-}
-
-// covDelta is IncCoverage's Delta: the committed items, the ground
-// elements they newly covered, and the realized gain. newly is
-// delta-owned storage (copied out of probe scratch — replicas read the
-// delta concurrently with the primary's next probes).
-type covDelta struct {
-	epoch uint64
-	items []int
-	newly *bitset.Set
-	gain  float64
-}
-
-// DeltaEpoch implements Delta.
-func (d *covDelta) DeltaEpoch() uint64 { return d.epoch }
-
 // IncCoverage maintains the union of the base set's coverage as a bitset,
 // so a probe costs O(|items| + ground words) instead of O(|S| × ground
 // words) per Eval.
 type IncCoverage struct {
-	c       *Coverage //powersched:clone-shared immutable problem data, frozen at construction
-	st      *covState
-	scratch *bitset.Set // ground-universe probe scratch, always replica-private
-	delta   *covDelta   // reusable CommitDelta buffer, created on first use
+	c *Coverage //powersched:clone-shared immutable problem data, frozen at construction
+	// st is the lineage's committed state.
+	//powersched:delta-shared deltas hold it only to name their lineage
+	st      *covState              //powersched:clone-shared replicas are copy-on-write views of one committed state, synced by ApplyDelta's epoch check
+	scratch *bitset.Set            // ground-universe probe scratch, always replica-private
+	delta   *sharedDelta[covState] // reusable CommitDelta buffer, created on first use
 }
 
 // NewIncremental implements IncrementalProvider.
@@ -168,7 +205,7 @@ func (ic *IncCoverage) Base() *bitset.Set { return ic.st.base }
 // Value implements Incremental.
 func (ic *IncCoverage) Value() float64 { return ic.st.value }
 
-// Epoch implements DeltaOracle.
+// Epoch implements Incremental.
 func (ic *IncCoverage) Epoch() uint64 { return ic.st.epoch }
 
 // probe fills scratch with the elements newly covered by items and returns
@@ -196,57 +233,33 @@ func (ic *IncCoverage) probe(items []int) float64 {
 // Gain implements Incremental.
 func (ic *IncCoverage) Gain(items []int) float64 { return ic.probe(items) }
 
-// commitScratch folds the probe result sitting in scratch into the
-// committed state (shared by Commit and CommitDelta).
-func (ic *IncCoverage) commitScratch(items []int, gain float64) {
+// Commit implements Incremental.
+func (ic *IncCoverage) Commit(items []int) float64 {
+	gain := ic.probe(items)
 	ic.st.covered.UnionWith(ic.scratch)
 	for _, it := range items {
 		ic.st.base.Add(it)
 	}
 	ic.st.value += gain
 	ic.st.epoch++
-}
-
-// Commit implements Incremental.
-func (ic *IncCoverage) Commit(items []int) float64 {
-	gain := ic.probe(items)
-	ic.commitScratch(items, gain)
 	return gain
 }
 
-// CommitDelta implements DeltaOracle. The returned delta is valid until
+// CommitDelta implements Incremental. The returned delta is valid until
 // the next CommitDelta on this oracle.
 func (ic *IncCoverage) CommitDelta(items []int) (Delta, float64) {
+	gain := ic.Commit(items)
 	if ic.delta == nil {
-		ic.delta = &covDelta{newly: bitset.New(ic.c.m)}
+		ic.delta = &sharedDelta[covState]{st: ic.st}
 	}
-	gain := ic.probe(items)
-	d := ic.delta
-	d.items = append(d.items[:0], items...)
-	d.newly.CopyFrom(ic.scratch)
-	d.gain = gain
-	ic.commitScratch(items, gain)
-	d.epoch = ic.st.epoch
-	return d, gain
+	ic.delta.epoch = ic.st.epoch
+	return ic.delta, gain
 }
 
-// ApplyDelta implements DeltaOracle.
+// ApplyDelta implements Incremental: the shared state already holds the
+// commit, so this only checks lineage and epoch.
 func (ic *IncCoverage) ApplyDelta(d Delta) error {
-	cd, ok := d.(*covDelta)
-	if !ok {
-		return errWrongDelta("IncCoverage", d)
-	}
-	apply, err := epochCheck("IncCoverage", ic.st.epoch, cd.epoch)
-	if err != nil || !apply {
-		return err
-	}
-	ic.st.covered.UnionWith(cd.newly)
-	for _, it := range cd.items {
-		ic.st.base.Add(it)
-	}
-	ic.st.value += cd.gain
-	ic.st.epoch++
-	return nil
+	return applyShared("IncCoverage", ic.st, ic.st.epoch, d)
 }
 
 // Reset implements Incremental.
@@ -257,19 +270,9 @@ func (ic *IncCoverage) Reset() {
 	ic.st.epoch = 0
 }
 
-// Clone implements Incremental (shares the Coverage's immutable sets; the
-// committed state is deep-copied into a private covState).
-func (ic *IncCoverage) Clone() Incremental {
-	return &IncCoverage{
-		c:       ic.c,
-		st:      ic.st.clone(),
-		scratch: bitset.New(ic.c.m),
-	}
-}
-
-// Replica implements ReplicaProvider: the view shares the committed state
-// behind the epoch pointer (copy-on-write — the large covered set is
-// never duplicated) and owns only its probe scratch.
+// Replica implements Incremental: a copy-on-write view that shares the
+// committed state (the large covered set is never duplicated) and owns
+// only its probe scratch.
 func (ic *IncCoverage) Replica() Incremental {
 	return &IncCoverage{
 		c:       ic.c,
@@ -281,7 +284,7 @@ func (ic *IncCoverage) Replica() Incremental {
 // ---- FacilityLocation ----
 
 // flState is the committed state of an IncFacilityLocation lineage,
-// shared copy-on-write across probe replicas.
+// shared by the primary and its copy-on-write replicas.
 type flState struct {
 	base  *bitset.Set
 	best  []float64 // per-client running best over the base set
@@ -289,40 +292,15 @@ type flState struct {
 	epoch uint64
 }
 
-func (st *flState) clone() *flState {
-	return &flState{
-		base:  st.base.Clone(),
-		best:  append([]float64(nil), st.best...),
-		value: st.value,
-		epoch: st.epoch,
-	}
-}
-
-// flChange records one client whose running best changed in a commit.
-type flChange struct {
-	client int32
-	best   float64
-}
-
-// flDelta is IncFacilityLocation's Delta: the committed items, the
-// per-client best updates they caused, and the realized gain.
-type flDelta struct {
-	epoch   uint64
-	items   []int
-	changed []flChange
-	gain    float64
-}
-
-// DeltaEpoch implements Delta.
-func (d *flDelta) DeltaEpoch() uint64 { return d.epoch }
-
 // IncFacilityLocation keeps each client's best committed benefit, so a
 // probe costs O(clients × |new items|) instead of O(clients × |S|).
 type IncFacilityLocation struct {
-	f     *FacilityLocation //powersched:clone-shared immutable benefit matrix, frozen at construction
-	st    *flState
-	fresh []int    // probe scratch: items not yet in the base
-	delta *flDelta // reusable CommitDelta buffer, created on first use
+	f *FacilityLocation //powersched:clone-shared immutable benefit matrix, frozen at construction
+	// st is the lineage's committed state.
+	//powersched:delta-shared deltas hold it only to name their lineage
+	st    *flState              //powersched:clone-shared replicas are copy-on-write views of one committed state, synced by ApplyDelta's epoch check
+	fresh []int                 // probe scratch: items not yet in the base
+	delta *sharedDelta[flState] // reusable CommitDelta buffer, created on first use
 }
 
 // NewIncremental implements IncrementalProvider.
@@ -348,7 +326,7 @@ func (ifl *IncFacilityLocation) Base() *bitset.Set { return ifl.st.base }
 // Value implements Incremental.
 func (ifl *IncFacilityLocation) Value() float64 { return ifl.st.value }
 
-// Epoch implements DeltaOracle.
+// Epoch implements Incremental.
 func (ifl *IncFacilityLocation) Epoch() uint64 { return ifl.st.epoch }
 
 // newItems filters items down to those outside the base set.
@@ -363,10 +341,8 @@ func (ifl *IncFacilityLocation) newItems(items []int) []int {
 }
 
 // sweep computes the total per-client best improvement from fresh items,
-// writing the new bests back when commit is set. The delta, when non-nil,
-// collects the clients whose best changed — the same write set a replica
-// must apply.
-func (ifl *IncFacilityLocation) sweep(fresh []int, commit bool, d *flDelta) float64 {
+// writing the new bests back when commit is set.
+func (ifl *IncFacilityLocation) sweep(fresh []int, commit bool) float64 {
 	gain := 0.0
 	for ci, row := range ifl.f.Benefit {
 		m := ifl.st.best[ci]
@@ -376,9 +352,6 @@ func (ifl *IncFacilityLocation) sweep(fresh []int, commit bool, d *flDelta) floa
 			}
 		}
 		gain += m - ifl.st.best[ci]
-		if d != nil && m != ifl.st.best[ci] {
-			d.changed = append(d.changed, flChange{client: int32(ci), best: m})
-		}
 		if commit {
 			ifl.st.best[ci] = m
 		}
@@ -392,13 +365,13 @@ func (ifl *IncFacilityLocation) Gain(items []int) float64 {
 	if len(fresh) == 0 {
 		return 0
 	}
-	return ifl.sweep(fresh, false, nil)
+	return ifl.sweep(fresh, false)
 }
 
 // Commit implements Incremental.
 func (ifl *IncFacilityLocation) Commit(items []int) float64 {
 	fresh := ifl.newItems(items)
-	gain := ifl.sweep(fresh, true, nil)
+	gain := ifl.sweep(fresh, true)
 	for _, it := range fresh {
 		ifl.st.base.Add(it)
 	}
@@ -407,59 +380,25 @@ func (ifl *IncFacilityLocation) Commit(items []int) float64 {
 	return gain
 }
 
-// CommitDelta implements DeltaOracle. The returned delta is valid until
+// CommitDelta implements Incremental. The returned delta is valid until
 // the next CommitDelta on this oracle.
 func (ifl *IncFacilityLocation) CommitDelta(items []int) (Delta, float64) {
+	gain := ifl.Commit(items)
 	if ifl.delta == nil {
-		ifl.delta = &flDelta{}
+		ifl.delta = &sharedDelta[flState]{st: ifl.st}
 	}
-	d := ifl.delta
-	d.items = append(d.items[:0], items...)
-	d.changed = d.changed[:0]
-	fresh := ifl.newItems(items)
-	gain := ifl.sweep(fresh, true, d)
-	for _, it := range fresh {
-		ifl.st.base.Add(it)
-	}
-	ifl.st.value += gain
-	ifl.st.epoch++
-	d.gain = gain
-	d.epoch = ifl.st.epoch
-	return d, gain
+	ifl.delta.epoch = ifl.st.epoch
+	return ifl.delta, gain
 }
 
-// ApplyDelta implements DeltaOracle.
+// ApplyDelta implements Incremental: the shared state already holds the
+// commit, so this only checks lineage and epoch.
 func (ifl *IncFacilityLocation) ApplyDelta(d Delta) error {
-	fd, ok := d.(*flDelta)
-	if !ok {
-		return errWrongDelta("IncFacilityLocation", d)
-	}
-	apply, err := epochCheck("IncFacilityLocation", ifl.st.epoch, fd.epoch)
-	if err != nil || !apply {
-		return err
-	}
-	for _, ch := range fd.changed {
-		ifl.st.best[ch.client] = ch.best
-	}
-	for _, it := range fd.items {
-		ifl.st.base.Add(it)
-	}
-	ifl.st.value += fd.gain
-	ifl.st.epoch++
-	return nil
+	return applyShared("IncFacilityLocation", ifl.st, ifl.st.epoch, d)
 }
 
-// Clone implements Incremental (shares the immutable benefit matrix; the
-// committed state is deep-copied).
-func (ifl *IncFacilityLocation) Clone() Incremental {
-	return &IncFacilityLocation{
-		f:  ifl.f,
-		st: ifl.st.clone(),
-	}
-}
-
-// Replica implements ReplicaProvider: shares the committed per-client
-// bests behind the epoch pointer instead of copying them per worker.
+// Replica implements Incremental: a copy-on-write view that shares the
+// committed per-client bests instead of copying them per worker.
 func (ifl *IncFacilityLocation) Replica() Incremental {
 	return &IncFacilityLocation{
 		f:  ifl.f,
@@ -520,7 +459,7 @@ func (im *IncModular) Base() *bitset.Set { return im.base }
 // Value implements Incremental.
 func (im *IncModular) Value() float64 { return im.value }
 
-// Epoch implements DeltaOracle.
+// Epoch implements Incremental.
 func (im *IncModular) Epoch() uint64 { return im.epoch }
 
 // Gain implements Incremental.
@@ -548,7 +487,7 @@ func (im *IncModular) Commit(items []int) float64 {
 	return gain
 }
 
-// CommitDelta implements DeltaOracle.
+// CommitDelta implements Incremental.
 func (im *IncModular) CommitDelta(items []int) (Delta, float64) {
 	if im.delta == nil {
 		im.delta = &modDelta{}
@@ -560,7 +499,7 @@ func (im *IncModular) CommitDelta(items []int) (Delta, float64) {
 	return d, d.gain
 }
 
-// ApplyDelta implements DeltaOracle.
+// ApplyDelta implements Incremental.
 func (im *IncModular) ApplyDelta(d Delta) error {
 	md, ok := d.(*modDelta)
 	if !ok {
@@ -585,8 +524,9 @@ func (im *IncModular) Reset() {
 	im.epoch = 0
 }
 
-// Clone implements Incremental (fresh dedup stamps; shares the weights).
-func (im *IncModular) Clone() Incremental {
+// Replica implements Incremental: a deep copy with fresh dedup stamps,
+// sharing only the weights.
+func (im *IncModular) Replica() Incremental {
 	return &IncModular{
 		m:     im.m,
 		base:  im.base.Clone(),
@@ -626,7 +566,7 @@ func (icc *IncConcave) Base() *bitset.Set { return icc.base }
 // Value implements Incremental.
 func (icc *IncConcave) Value() float64 { return icc.c.Phi(icc.count) }
 
-// Epoch implements DeltaOracle.
+// Epoch implements Incremental.
 func (icc *IncConcave) Epoch() uint64 { return icc.epoch }
 
 // added counts the genuinely new items in a probe.
@@ -667,7 +607,7 @@ func (icc *IncConcave) Commit(items []int) float64 {
 	return gain
 }
 
-// CommitDelta implements DeltaOracle.
+// CommitDelta implements Incremental.
 func (icc *IncConcave) CommitDelta(items []int) (Delta, float64) {
 	if icc.delta == nil {
 		icc.delta = &modDelta{}
@@ -681,7 +621,7 @@ func (icc *IncConcave) CommitDelta(items []int) (Delta, float64) {
 	return d, d.gain
 }
 
-// ApplyDelta implements DeltaOracle.
+// ApplyDelta implements Incremental.
 func (icc *IncConcave) ApplyDelta(d Delta) error {
 	md, ok := d.(*modDelta)
 	if !ok {
@@ -706,8 +646,9 @@ func (icc *IncConcave) Reset() {
 	icc.epoch = 0
 }
 
-// Clone implements Incremental (fresh dedup stamps; shares φ).
-func (icc *IncConcave) Clone() Incremental {
+// Replica implements Incremental: a deep copy with fresh dedup stamps,
+// sharing only φ.
+func (icc *IncConcave) Replica() Incremental {
 	return &IncConcave{
 		c:     icc.c,
 		base:  icc.base.Clone(),
@@ -723,14 +664,9 @@ var (
 	_ IncrementalProvider = (*FacilityLocation)(nil)
 	_ IncrementalProvider = (*Modular)(nil)
 	_ IncrementalProvider = (*ConcaveCardinality)(nil)
+	_ Incremental         = (*countingIncremental)(nil)
 	_ Incremental         = (*IncCoverage)(nil)
 	_ Incremental         = (*IncFacilityLocation)(nil)
 	_ Incremental         = (*IncModular)(nil)
 	_ Incremental         = (*IncConcave)(nil)
-	_ DeltaOracle         = (*IncCoverage)(nil)
-	_ DeltaOracle         = (*IncFacilityLocation)(nil)
-	_ DeltaOracle         = (*IncModular)(nil)
-	_ DeltaOracle         = (*IncConcave)(nil)
-	_ ReplicaProvider     = (*IncCoverage)(nil)
-	_ ReplicaProvider     = (*IncFacilityLocation)(nil)
 )

@@ -128,54 +128,66 @@ func TestIncrementalMatchesEval(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence checks the replica contract behind the parallel
-// greedy: a clone starts with the same base and value, then evolves
-// independently — committing to one side never moves the other.
-func TestCloneIndependence(t *testing.T) {
+// TestReplicaIndependence checks the deep-copy side of the replica
+// contract: a replica of an additive oracle starts with the same base and
+// value, then evolves independently — committing to one side never moves
+// the other. Probes on any replica leave every oracle of the lineage as
+// it was. (Copy-on-write replicas share commits by design; see
+// TestCOWReplicaSharesCommittedState.)
+func TestReplicaIndependence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*31337 + 7))
 		for _, tc := range randomCases(rng) {
 			inc, _ := AsIncremental(tc.f)
 			n := tc.f.Universe()
-			// Commit a random prefix so clones copy non-trivial state.
+			// Commit a random prefix so replicas copy non-trivial state.
 			inc.Commit(randomItems(rng, n))
 
-			clone := inc.Clone()
-			if !clone.Base().Equal(inc.Base()) {
-				t.Fatalf("%s: clone base differs", tc.name)
+			replica := inc.Replica()
+			if !replica.Base().Equal(inc.Base()) || replica.Epoch() != inc.Epoch() {
+				t.Fatalf("%s: replica base or epoch differs", tc.name)
 			}
-			if abs(clone.Value()-inc.Value()) > diffEps {
-				t.Fatalf("%s: clone value %g, want %g", tc.name, clone.Value(), inc.Value())
+			if replica.Value() != inc.Value() {
+				t.Fatalf("%s: replica value %g, want %g", tc.name, replica.Value(), inc.Value())
 			}
+			baseSnap := inc.Base().Clone()
+			valSnap := inc.Value()
 			probe := randomItems(rng, n)
-			if g1, g2 := inc.Gain(probe), clone.Gain(probe); abs(g1-g2) > diffEps {
+			if g1, g2 := inc.Gain(probe), replica.Gain(probe); g1 != g2 {
 				t.Fatalf("%s: replicas disagree on a probe: %g vs %g", tc.name, g1, g2)
+			}
+			if !inc.Base().Equal(baseSnap) || inc.Value() != valSnap {
+				t.Fatalf("%s: a replica probe moved the lineage", tc.name)
+			}
+			if copyOnWrite(inc) {
+				continue
 			}
 
 			// Diverge: commit to the original only.
-			before := clone.Base().Clone()
-			beforeVal := clone.Value()
+			before := replica.Base().Clone()
+			beforeVal := replica.Value()
 			inc.Commit(randomItems(rng, n))
-			if !clone.Base().Equal(before) || abs(clone.Value()-beforeVal) > diffEps {
-				t.Fatalf("%s: committing to the original moved the clone", tc.name)
+			if !replica.Base().Equal(before) || replica.Value() != beforeVal {
+				t.Fatalf("%s: committing to the original moved the replica", tc.name)
 			}
 			// And the other way around.
-			baseSnap := inc.Base().Clone()
-			valSnap := inc.Value()
-			clone.Commit(randomItems(rng, n))
-			if !inc.Base().Equal(baseSnap) || abs(inc.Value()-valSnap) > diffEps {
-				t.Fatalf("%s: committing to the clone moved the original", tc.name)
+			baseSnap = inc.Base().Clone()
+			valSnap = inc.Value()
+			replica.Commit(randomItems(rng, n))
+			if !inc.Base().Equal(baseSnap) || inc.Value() != valSnap {
+				t.Fatalf("%s: committing to the replica moved the original", tc.name)
 			}
 			// Both must still agree with plain Eval on their own bases.
-			if got, want := clone.Value(), tc.f.Eval(clone.Base()); abs(got-want) > diffEps {
-				t.Fatalf("%s: diverged clone Value = %g, want Eval = %g", tc.name, got, want)
+			if got, want := replica.Value(), tc.f.Eval(replica.Base()); abs(got-want) > diffEps {
+				t.Fatalf("%s: diverged replica Value = %g, want Eval = %g", tc.name, got, want)
 			}
 		}
 	}
 }
 
-// TestCloneSharesCallCounter checks that replicas of a counting oracle
-// bill the one shared counter — parallel scans report total probes.
+// TestCloneSharesCallCounter checks that replicas of a counting oracle,
+// and replicas of replicas, bill the one shared counter — parallel scans
+// report total probes.
 func TestCloneSharesCallCounter(t *testing.T) {
 	cov := NewCoverage(4, []*bitset.Set{
 		bitset.FromSlice(4, []int{0, 1}),
@@ -183,10 +195,10 @@ func TestCloneSharesCallCounter(t *testing.T) {
 	}, nil)
 	c := NewCounting(cov)
 	inc, _ := AsIncremental(c)
-	clone := inc.Clone()
+	replica := inc.Replica()
 	inc.Gain([]int{0})
-	clone.Gain([]int{1})
-	clone.Clone().Gain([]int{0})
+	replica.Gain([]int{1})
+	replica.Replica().Gain([]int{0})
 	if got := c.Calls(); got != 3 {
 		t.Fatalf("Calls = %d, want 3 (replica probes share the counter)", got)
 	}

@@ -372,7 +372,10 @@ func NewSet(n int) *Set { return bitset.New(n) }
 
 // Incremental is the stateful value-oracle interface behind the greedy
 // fast paths: probes answer F(S ∪ items) − F(S) against a committed base
-// set without recomputing F from scratch.
+// set without recomputing F from scratch. It is also the replication
+// contract of the parallel greedy: Replica is the one way to copy an
+// oracle, and a replica stays in step with its primary only by applying
+// the Delta each CommitDelta on the primary returns (ApplyDelta).
 type Incremental = submodular.Incremental
 
 // IncrementalProvider is implemented by functions that can manufacture an

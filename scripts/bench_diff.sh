@@ -4,8 +4,14 @@
 # step that runs it can surface drift without letting benchmark noise
 # (-benchtime 3x wobbles ±20%) fail the build.
 #
+# The ns/op compared is each snapshot's median ("ns_per_op"); next to it
+# the diff prints the snapshot's min–max range over its runs, so a delta
+# can be read against the spread behind it. Snapshots taken with one run
+# each (and those from before ranges were recorded) show the single value
+# as both ends of the range.
+#
 # Timing comparisons are one-sided: a benchmark is flagged (REGRESS) only
-# when it got slower by more than the tolerance; improvements and
+# when its median got slower by more than the tolerance; improvements and
 # in-tolerance wobble pass silently. Allocation counts are deterministic,
 # so any allocs/op growth at all is flagged. A benchmark present in only
 # one snapshot prints as "new" or "gone" and is never flagged.
@@ -44,30 +50,36 @@ if [ "$base_env" != "$cur_env" ]; then
 fi
 
 awk -v tolerance="$tolerance" -v env_match="$env_match" '
-function num(line, key,    s) {
+# num returns the value of key on line, or def when the key is absent.
+function num(line, key, def,    s) {
     if (match(line, "\"" key "\": *[0-9.]+")) {
         s = substr(line, RSTART, RLENGTH)
         sub(/^[^:]*: */, "", s)
         return s + 0
     }
-    return 0
+    return def
 }
+function span(lo, hi) { return sprintf("%.0f-%.0f", lo, hi) }
 FNR == 1 { file++ }
 /"name":/ {
     split($0, parts, "\"")
     name = parts[4]
+    ns = num($0, "ns_per_op", 0)
+    rng = span(num($0, "ns_min", ns), num($0, "ns_max", ns))
     if (file == 1) {
-        baseNs[name] = num($0, "ns_per_op")
-        baseAllocs[name] = num($0, "allocs_per_op")
+        baseNs[name] = ns
+        baseRange[name] = rng
+        baseAllocs[name] = num($0, "allocs_per_op", 0)
         baseOrder[++nBase] = name
     } else {
-        curNs[name] = num($0, "ns_per_op")
-        curAllocs[name] = num($0, "allocs_per_op")
+        curNs[name] = ns
+        curRange[name] = rng
+        curAllocs[name] = num($0, "allocs_per_op", 0)
         order[++n] = name
     }
 }
 END {
-    printf "%-42s %14s %14s %9s %9s %9s\n", "benchmark", "base ns/op", "cur ns/op", "ns delta", "allocs", "flag"
+    printf "%-42s %12s %23s %12s %23s %9s %9s %9s\n", "benchmark", "base median", "base range", "cur median", "cur range", "ns delta", "allocs", "flag"
     for (i = 1; i <= n; i++) {
         name = order[i]
         if (name in baseNs && baseNs[name] > 0) {
@@ -83,9 +95,9 @@ END {
             # only when the environments are comparable.
             if (env_match && dNs > tolerance)
                 flag = flag (flag == "" ? "" : ",") "REGRESS"
-            printf "%-42s %14.0f %14.0f %+8.1f%% %9s %9s\n", name, baseNs[name], curNs[name], dNs, dAllocs, flag
+            printf "%-42s %12.0f %23s %12.0f %23s %+8.1f%% %9s %9s\n", name, baseNs[name], baseRange[name], curNs[name], curRange[name], dNs, dAllocs, flag
         } else {
-            printf "%-42s %14s %14.0f %9s %9s %9s\n", name, "-", curNs[name], "new", "-", ""
+            printf "%-42s %12s %23s %12.0f %23s %9s %9s %9s\n", name, "-", "-", curNs[name], curRange[name], "new", "-", ""
         }
     }
     # Benchmarks only the baseline has (deleted or renamed since, or
@@ -93,7 +105,7 @@ END {
     for (i = 1; i <= nBase; i++) {
         name = baseOrder[i]
         if (!(name in curNs))
-            printf "%-42s %14.0f %14s %9s %9s %9s\n", name, baseNs[name], "-", "gone", "-", ""
+            printf "%-42s %12.0f %23s %12s %23s %9s %9s %9s\n", name, baseNs[name], baseRange[name], "-", "-", "gone", "-", ""
     }
 }
 ' "$base" "$cur"
